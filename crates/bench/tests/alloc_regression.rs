@@ -11,15 +11,26 @@
 //! while one-time setup (graph, index, hosts, engine arenas) is excluded
 //! from the counted window.
 //!
+//! Theorem 1 is pinned the same way, per awake event of the whole solve:
+//! every member of a cluster acquires the cluster's structure, and the
+//! Lemma 14/15 and Theorem 9 steps that compute from it used to copy it
+//! once per member, per replica, which cost 96.5 allocations per event on
+//! the workload below. They now touch it a constant number of times per
+//! replica (37.5 per event); a return of that per-member copying fails the
+//! cap of 60.
+//!
 //! The counting allocator is test-local: integration tests are separate
 //! binaries, so installing it here does not affect any other test.
 
 use awake_core::linegraph::{self, EdgeGreedy, LineGraphHost};
+use awake_core::theorem1;
 use awake_graphs::{generators, Graph};
 use awake_olocal::edge::{EdgeColoring, EdgeIndex, EdgeProblem, MaximalMatching};
+use awake_olocal::problems::DeltaPlusOneColoring;
 use awake_sleeping::{Config, Engine};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 struct CountingAlloc;
 
@@ -46,6 +57,14 @@ fn alloc_count() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
 }
 
+/// The counter is process-wide and the test harness runs tests on parallel
+/// threads, so every counted window holds this lock.
+static COUNTING: Mutex<()> = Mutex::new(());
+
+fn counting() -> MutexGuard<'static, ()> {
+    COUNTING.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 /// Steady-state allocations per awake node-round for `problem` on `g`:
 /// hosts are built *outside* the counted window (per-replica construction
 /// is setup, not steady state), the engine run is counted.
@@ -69,6 +88,7 @@ where
 
 #[test]
 fn edge_adapter_steady_state_stays_allocation_free() {
+    let _counting = counting();
     let g = generators::random_regular(2048, 8, 2);
     let idx = EdgeIndex::new(&g);
     let inputs = vec![(); idx.m()];
@@ -83,5 +103,23 @@ fn edge_adapter_steady_state_stays_allocation_free() {
     assert!(
         coloring <= 0.1,
         "edge-coloring adapter steady state regressed: {coloring:.4} allocs/node-round (cap 0.1)"
+    );
+}
+
+#[test]
+fn theorem1_allocations_per_event_stay_bounded() {
+    let _counting = counting();
+    let g = generators::random_with_max_degree(192, 12, 1);
+    let inputs = vec![(); g.n()];
+    let a0 = alloc_count();
+    let r = theorem1::solve_with_inputs(&g, &DeltaPlusOneColoring, &inputs, Default::default())
+        .unwrap();
+    let allocs = alloc_count() - a0;
+    let events = r.composition.awake_events();
+    let per_event = allocs as f64 / events as f64;
+    println!("theorem 1: {allocs} allocs / {events} awake events = {per_event:.1}");
+    assert!(
+        per_event <= 60.0,
+        "Theorem 1 regressed: {per_event:.1} allocs per awake event (cap 60)"
     );
 }

@@ -253,6 +253,65 @@ pub fn split_components(g: &Graph, members: &[NodeId]) -> Vec<Vec<NodeId>> {
     comps
 }
 
+/// Hop distances from `root` in the undirected graph on the idents `nodes`
+/// (sorted, no duplicates) with the given `edges`; an edge with an
+/// endpoint outside `nodes` is ignored. Entry `i` is the distance of
+/// `nodes[i]`, or `u32::MAX` when it is unreachable.
+///
+/// Idents are mapped to dense indices by binary search and the BFS runs
+/// over a CSR adjacency, so the cost is `O((|nodes| + |edges|) log
+/// |nodes|)` with a fixed number of allocations. This is how a cluster
+/// member turns a gathered cluster structure into exact BFS depths
+/// (Lemmas 14 and 15).
+///
+/// # Panics
+/// Panics if `root` is not in `nodes`.
+pub(crate) fn bfs_depths(
+    nodes: &[u64],
+    edges: impl IntoIterator<Item = (u64, u64)>,
+    root: u64,
+) -> Vec<u32> {
+    debug_assert!(nodes.windows(2).all(|w| w[0] < w[1]), "nodes sorted");
+    let index = |x: u64| nodes.binary_search(&x).ok();
+    let pairs: Vec<(usize, usize)> = edges
+        .into_iter()
+        .filter_map(|(a, b)| Some((index(a)?, index(b)?)))
+        .collect();
+    // CSR: count degrees into `start`, turn the counts into end offsets,
+    // then fill each list backwards so `start[i]` ends at its begin.
+    let mut start = vec![0usize; nodes.len() + 1];
+    for &(a, b) in &pairs {
+        start[a] += 1;
+        start[b] += 1;
+    }
+    for i in 1..=nodes.len() {
+        start[i] += start[i - 1];
+    }
+    let mut adj = vec![0usize; 2 * pairs.len()];
+    for &(a, b) in &pairs {
+        start[a] -= 1;
+        adj[start[a]] = b;
+        start[b] -= 1;
+        adj[start[b]] = a;
+    }
+    let mut dist = vec![u32::MAX; nodes.len()];
+    let r = index(root).expect("the BFS root is one of the nodes");
+    dist[r] = 0;
+    let mut queue = Vec::with_capacity(nodes.len());
+    queue.push(r);
+    let mut head = 0;
+    while let Some(&x) = queue.get(head) {
+        head += 1;
+        for &w in &adj[start[x]..start[x + 1]] {
+            if dist[w] == u32::MAX {
+                dist[w] = dist[x] + 1;
+                queue.push(w);
+            }
+        }
+    }
+    dist
+}
+
 /// Synthesize a valid colored BFS-clustering with exactly `clusters`
 /// clusters (plus extras on disconnected graphs): Voronoi cells of random
 /// seeds (connected, exact BFS depths), then a greedy proper coloring of
@@ -331,9 +390,67 @@ pub fn synthesize(g: &Graph, clusters: usize, seed: u64) -> Clustering {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use awake_graphs::generators;
+    use awake_graphs::rng::Rng;
+
+    /// A random connected cluster for BFS tests: `k` distinct idents in
+    /// random order (a random spanning tree plus `k` chords, some of them
+    /// repeated) and edges to `outside` idents that are not members. Some
+    /// outsiders chain on to each other and some bridge two members, a
+    /// shortcut a BFS over members only must not take. Edge orientation
+    /// is random.
+    pub(crate) fn random_cluster(
+        seed: u64,
+        k: usize,
+        outside: usize,
+    ) -> (Vec<u64>, Vec<(u64, u64)>) {
+        let mut rng = Rng::seed_from_u64(seed);
+        let mut idents = std::collections::BTreeSet::new();
+        while idents.len() < k + outside {
+            idents.insert(rng.bounded_u64(1 << 20) + 1);
+        }
+        let mut idents: Vec<u64> = idents.into_iter().collect();
+        rng.shuffle(&mut idents);
+        let outsiders = idents.split_off(k);
+        let mut edges = Vec::new();
+        for i in 1..k {
+            edges.push((idents[i], idents[rng.gen_range(0..i)]));
+        }
+        for _ in 0..k {
+            let (a, b) = (rng.gen_range(0..k), rng.gen_range(0..k));
+            if a != b {
+                edges.push((idents[a], idents[b]));
+            }
+        }
+        for (j, &o) in outsiders.iter().enumerate() {
+            if j > 0 && rng.gen_bool(0.5) {
+                edges.push((outsiders[j - 1], o));
+            } else {
+                edges.push((idents[rng.gen_range(0..k)], o));
+            }
+            if rng.gen_bool(0.5) {
+                edges.push((o, idents[rng.gen_range(0..k)]));
+            }
+        }
+        for e in edges.iter_mut() {
+            if rng.gen_bool(0.5) {
+                *e = (e.1, e.0);
+            }
+        }
+        rng.shuffle(&mut edges);
+        (idents, edges)
+    }
+
+    #[test]
+    fn bfs_depths_are_hop_distances() {
+        // Path 10 - 20 - 30 plus an edge to 99, which is not a node.
+        let d = bfs_depths(&[10, 20, 30], [(30, 20), (10, 20), (30, 99)], 10);
+        assert_eq!(d, vec![0, 1, 2]);
+        let d = bfs_depths(&[10, 20, 30], [(10, 20)], 20);
+        assert_eq!(d, vec![1, 0, u32::MAX]);
+    }
 
     #[test]
     fn singletons_are_valid_both_ways() {

@@ -19,8 +19,7 @@
 
 use awake_graphs::NodeId;
 use awake_sleeping::{
-    Action, CheckpointError, Codec, Envelope, Outbox, Outgoing, Persist, Program, Reader, Round,
-    View, Writer,
+    Action, CheckpointError, Codec, Envelope, Outbox, Persist, Program, Reader, Round, View, Writer,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -205,31 +204,32 @@ impl<P: Clone + std::fmt::Debug + Send + Sync> GatherCore<P> {
         self.view
     }
 
-    /// Messages to emit at `round`.
-    pub fn send_at(&mut self, round: Round) -> Vec<Outgoing<GatherMsg<P>>> {
-        if round == self.hello_round() {
-            return vec![Outgoing::Broadcast(GatherMsg::Hello(
-                self.label,
-                self.depth,
-                self.ident,
-                self.payload.clone(),
-            ))];
-        }
-        if round == self.cc_send_round() && self.depth > 0 {
-            return vec![Outgoing::Broadcast(GatherMsg::Bag {
+    /// Queue the messages to emit at `round` into the caller's outbox,
+    /// each wrapped by `wrap` into the caller's message type.
+    pub fn send_at<M>(
+        &mut self,
+        round: Round,
+        out: &mut Outbox<M>,
+        wrap: impl FnOnce(GatherMsg<P>) -> M,
+    ) {
+        let msg = if round == self.hello_round() {
+            GatherMsg::Hello(self.label, self.depth, self.ident, self.payload.clone())
+        } else if round == self.cc_send_round() && self.depth > 0 {
+            GatherMsg::Bag {
                 label: self.label,
                 up: true,
                 recs: Arc::new(self.bag.clone()),
-            })];
-        }
-        if round == self.bc_send_round() && self.has_children {
-            return vec![Outgoing::Broadcast(GatherMsg::Bag {
+            }
+        } else if round == self.bc_send_round() && self.has_children {
+            GatherMsg::Bag {
                 label: self.label,
                 up: false,
                 recs: Arc::new(self.bag.clone()),
-            })];
-        }
-        vec![]
+            }
+        } else {
+            return;
+        };
+        out.broadcast(wrap(msg));
     }
 
     /// Process the inbox at `round`; returns the next step.
@@ -363,7 +363,10 @@ impl<P: Clone + std::fmt::Debug + Send + Sync + Codec> GatherCore<P> {
 /// [`ClusterView`]; non-participants output `None` and never wake.
 pub struct ClusterGather<P> {
     core: Option<GatherCore<P>>,
-    done_view: Option<ClusterView<P>>,
+    /// Set once the core reports [`GatherStep::Done`]; the output is the
+    /// core's own view (its view can be complete a round earlier, while
+    /// the node still owes its downward broadcast).
+    done: bool,
 }
 
 impl<P: Clone + std::fmt::Debug + Send + Sync> ClusterGather<P> {
@@ -378,7 +381,7 @@ impl<P: Clone + std::fmt::Debug + Send + Sync> ClusterGather<P> {
                 depth_bound,
                 1,
             )),
-            done_view: None,
+            done: false,
         }
     }
 
@@ -386,7 +389,7 @@ impl<P: Clone + std::fmt::Debug + Send + Sync> ClusterGather<P> {
     pub fn bystander() -> Self {
         ClusterGather {
             core: None,
-            done_view: None,
+            done: false,
         }
     }
 }
@@ -401,7 +404,7 @@ impl<P: Clone + std::fmt::Debug + Send + Sync> Program for ClusterGather<P> {
 
     fn send(&mut self, view: &View<'_>, out: &mut Outbox<GatherMsg<P>>) {
         if let Some(core) = &mut self.core {
-            out.extend(core.send_at(view.round));
+            core.send_at(view.round, out, |m| m);
         }
     }
 
@@ -410,17 +413,18 @@ impl<P: Clone + std::fmt::Debug + Send + Sync> Program for ClusterGather<P> {
         match core.recv_at(view.round, inbox) {
             GatherStep::WakeAt(r) => Action::SleepUntil(r),
             GatherStep::Done => {
-                self.done_view = core.view().cloned();
+                self.done = true;
                 Action::Halt
             }
         }
     }
 
     fn output(&self) -> Option<Self::Output> {
-        if self.core.is_none() {
-            return Some(None);
+        match &self.core {
+            None => Some(None),
+            Some(core) if self.done => core.view().cloned().map(Some),
+            Some(_) => None,
         }
-        self.done_view.clone().map(Some)
     }
 
     fn span(&self) -> &'static str {
@@ -439,7 +443,7 @@ impl<P: Clone + std::fmt::Debug + Send + Sync + Codec> Persist for ClusterGather
             Some(core) => {
                 true.encode(w);
                 core.save(w);
-                self.done_view.is_some().encode(w);
+                self.done.encode(w);
             }
         }
     }
@@ -449,8 +453,7 @@ impl<P: Clone + std::fmt::Debug + Send + Sync + Codec> Persist for ClusterGather
             (None, false) => Ok(()),
             (Some(core), true) => {
                 core.restore(r)?;
-                let done: bool = r.get()?;
-                self.done_view = if done { core.view().cloned() } else { None };
+                self.done = r.get()?;
                 Ok(())
             }
             _ => Err(CheckpointError::Corrupt("gather participation mismatch")),

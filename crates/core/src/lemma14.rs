@@ -15,6 +15,7 @@
 //! root (the depth-0 node of the `δ' = 0` cluster). Awake complexity
 //! `O(1)`; round complexity `O(n²)`.
 
+use crate::clustering::bfs_depths;
 use crate::virt::{VEnvelope, VOutgoing, VertexInput, VirtualProgram};
 use awake_sleeping::{Action, CheckpointError, Codec, Persist, Reader, Round, Writer};
 use std::collections::BTreeMap;
@@ -141,6 +142,13 @@ impl TreeGatherVertex {
         self.bc_base() + self.rec.d2 as Round
     }
 
+    /// Compute `δ''` for every node of the merged cluster by BFS from the
+    /// merged root over the gathered records.
+    ///
+    /// The BFS runs on dense indices ([`bfs_depths`]) and `depths` is
+    /// collected from the sorted ident list: for a merged cluster of `k`
+    /// nodes and `e` edges a replica spends `O((k + e) log k)` time and a
+    /// fixed number of allocations besides the output map.
     fn finish(&mut self) {
         let all = self.all.as_ref().expect("records gathered");
         // Merged root: the depth-0 member of the δ' = 0 cluster.
@@ -154,29 +162,26 @@ impl TreeGatherVertex {
             .find(|&&(_, d)| d == 0)
             .map(|&(i, _)| i)
             .expect("root cluster has a depth-0 node");
-        // BFS over the merged cluster's idents.
-        let mut adj: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
-        let mut members: Vec<u64> = Vec::new();
+        // Every ident the BFS can reach: members and edge endpoints.
+        let mut nodes: Vec<u64> = Vec::new();
         for r in all {
-            members.extend(r.members.iter().map(|&(i, _)| i));
-            for &(a, b) in &r.edges {
-                adj.entry(a).or_default().push(b);
-                adj.entry(b).or_default().push(a);
-            }
+            nodes.extend(r.members.iter().map(|&(i, _)| i));
+            nodes.extend(r.edges.iter().flat_map(|&(a, b)| [a, b]));
         }
-        let mut depths: BTreeMap<u64, u32> = BTreeMap::new();
-        depths.insert(root, 0);
-        let mut q = std::collections::VecDeque::from([root]);
-        while let Some(x) = q.pop_front() {
-            let dx = depths[&x];
-            for &w in adj.get(&x).into_iter().flatten() {
-                if let std::collections::btree_map::Entry::Vacant(e) = depths.entry(w) {
-                    e.insert(dx + 1);
-                    q.push_back(w);
-                }
-            }
-        }
-        for &m in &members {
+        nodes.sort_unstable();
+        nodes.dedup();
+        let dist = bfs_depths(
+            &nodes,
+            all.iter().flat_map(|r| r.edges.iter().copied()),
+            root,
+        );
+        let depths: BTreeMap<u64, u32> = nodes
+            .iter()
+            .zip(&dist)
+            .filter(|&(_, &d)| d != u32::MAX)
+            .map(|(&i, &d)| (i, d))
+            .collect();
+        for &(m, _) in all.iter().flat_map(|r| &r.members) {
             assert!(
                 depths.contains_key(&m),
                 "merged cluster must be connected (ident {m})"
@@ -333,4 +338,82 @@ impl Persist for TreeGatherVertex {
 /// Virtual-round budget of the Lemma 14 stage.
 pub fn lemma14_vrounds(depth_bound: u32) -> u64 {
     2 * depth_bound as u64 + 8
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::clustering::tests::random_cluster;
+    use awake_graphs::rng::Rng;
+    use std::collections::btree_map::Entry;
+    use std::collections::VecDeque;
+
+    /// The `BTreeMap` BFS that `finish` replaced: every ident an edge
+    /// reaches from `root` gets a depth, members or not.
+    fn reference_depths(all: &[VertexRec], root: u64) -> BTreeMap<u64, u32> {
+        let mut adj: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
+        for r in all {
+            for &(a, b) in &r.edges {
+                adj.entry(a).or_default().push(b);
+                adj.entry(b).or_default().push(a);
+            }
+        }
+        let mut depths: BTreeMap<u64, u32> = BTreeMap::new();
+        depths.insert(root, 0);
+        let mut q = VecDeque::from([root]);
+        while let Some(x) = q.pop_front() {
+            let dx = depths[&x];
+            for &w in adj.get(&x).into_iter().flatten() {
+                if let Entry::Vacant(e) = depths.entry(w) {
+                    e.insert(dx + 1);
+                    q.push_back(w);
+                }
+            }
+        }
+        depths
+    }
+
+    #[test]
+    fn dense_bfs_matches_btreemap_bfs() {
+        for seed in 0..40u64 {
+            let k = 1 + (seed as usize * 7) % 60;
+            let (members, edges) = random_cluster(seed, k, seed as usize % 6);
+            // Deal the members into vertex records; the first record is
+            // the δ' = 0 vertex and its first member the merged root.
+            let mut rng = Rng::seed_from_u64(seed ^ 0x5eed);
+            let mut all: Vec<VertexRec> = Vec::new();
+            for (i, &m) in members.iter().enumerate() {
+                if i == 0 || rng.gen_bool(0.3) {
+                    all.push(VertexRec {
+                        label: i as u64 + 1,
+                        l2: 7,
+                        d2: u32::from(i > 0),
+                        members: vec![],
+                        edges: vec![],
+                    });
+                }
+                let rec = all.last_mut().expect("a record exists");
+                rec.members.push((m, u32::from(i > 0)));
+            }
+            for (j, &e) in edges.iter().enumerate() {
+                let n = all.len();
+                all[j % n].edges.push(e);
+            }
+            let mut v = TreeGatherVertex {
+                depth_bound: 0,
+                rec: all[0].clone(),
+                parent: None,
+                bag: vec![],
+                all: Some(all.clone()),
+                out: None,
+            };
+            v.finish();
+            let out = v.out.expect("finish sets the output");
+            assert_eq!(
+                out.depths,
+                reference_depths(&all, members[0]),
+                "seed {seed}"
+            );
+        }
+    }
 }

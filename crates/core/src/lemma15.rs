@@ -21,6 +21,7 @@
 //!    `a·b²` palette and become singleton clusters of that color; the
 //!    rest form the uniquely-labeled part, `≤ n_H/b` many clusters.
 
+use crate::clustering::bfs_depths;
 use crate::linial::{self, Step};
 use crate::virt::{VEnvelope, VOutgoing, VertexInput, VirtualProgram};
 use awake_sleeping::{Action, CheckpointError, Codec, Persist, Reader, Round, Writer};
@@ -363,31 +364,25 @@ impl Lemma15Vertex {
     }
 
     /// Once the cluster's adjacency is known, compute the exact BFS depth.
+    ///
+    /// The BFS runs on dense indices ([`bfs_depths`]): for a cluster of `k`
+    /// vertices with `e` intra-cluster edges a replica spends
+    /// `O((k + e) log k)` time and a fixed number of allocations.
     fn absorb_edges(&mut self, edges: Vec<(u64, Vec<u64>)>) {
         self.edges = edges;
-        let mut adj: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
-        for (l, nbrs) in &self.edges {
-            for &w in nbrs {
-                adj.entry(*l).or_default().push(w);
-                adj.entry(w).or_default().push(*l);
-            }
-        }
-        // BFS from the root over cluster members.
-        let members: std::collections::BTreeSet<u64> = self.tree.iter().map(|r| r.label).collect();
-        let mut dist: BTreeMap<u64, u32> = BTreeMap::new();
-        dist.insert(self.l_aux, 0);
-        let mut queue = std::collections::VecDeque::from([self.l_aux]);
-        while let Some(x) = queue.pop_front() {
-            let dx = dist[&x];
-            for &w in adj.get(&x).into_iter().flatten() {
-                if members.contains(&w) && !dist.contains_key(&w) {
-                    dist.insert(w, dx + 1);
-                    queue.push_back(w);
-                }
-            }
-        }
-        self.delta_aux = *dist
-            .get(&self.label)
+        let mut members: Vec<u64> = self.tree.iter().map(|r| r.label).collect();
+        members.sort_unstable();
+        members.dedup();
+        let pairs = self
+            .edges
+            .iter()
+            .flat_map(|(l, nbrs)| nbrs.iter().map(move |&w| (*l, w)));
+        let dist = bfs_depths(&members, pairs, self.l_aux);
+        self.delta_aux = members
+            .binary_search(&self.label)
+            .ok()
+            .map(|i| dist[i])
+            .filter(|&d| d != u32::MAX)
             .expect("cluster is connected through p₂/tree edges");
     }
 
@@ -762,5 +757,92 @@ impl Persist for Lemma15Vertex {
         self.agenda = r.get()?;
         self.out = r.get()?;
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::clustering::tests::random_cluster;
+    use crate::gather::MemberRec;
+    use std::collections::{BTreeSet, VecDeque};
+
+    /// The `BTreeMap` BFS that `absorb_edges` replaced.
+    fn reference_delta(tree: &[TreeRec], edges: &[(u64, Vec<u64>)], l_aux: u64, label: u64) -> u32 {
+        let mut adj: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
+        for (l, nbrs) in edges {
+            for &w in nbrs {
+                adj.entry(*l).or_default().push(w);
+                adj.entry(w).or_default().push(*l);
+            }
+        }
+        let members: BTreeSet<u64> = tree.iter().map(|r| r.label).collect();
+        let mut dist: BTreeMap<u64, u32> = BTreeMap::new();
+        dist.insert(l_aux, 0);
+        let mut queue = VecDeque::from([l_aux]);
+        while let Some(x) = queue.pop_front() {
+            let dx = dist[&x];
+            for &w in adj.get(&x).into_iter().flatten() {
+                if members.contains(&w) && !dist.contains_key(&w) {
+                    dist.insert(w, dx + 1);
+                    queue.push_back(w);
+                }
+            }
+        }
+        dist[&label]
+    }
+
+    #[test]
+    fn dense_bfs_matches_btreemap_bfs() {
+        let cfg = Lemma15Config {
+            b: 2,
+            label_bound: 1 << 21,
+            ab2: 9,
+        };
+        for seed in 0..40u64 {
+            let k = 1 + (seed as usize * 7) % 60;
+            let (members, edges) = random_cluster(seed, k, seed as usize % 6);
+            // Adjacency lists as the EdgeDown broadcast carries them, one
+            // direction per edge; outsiders own lists too.
+            let mut lists: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
+            for &(a, b) in &edges {
+                lists.entry(a).or_default().push(b);
+            }
+            let lists: Vec<(u64, Vec<u64>)> = lists.into_iter().collect();
+            let tree: Vec<TreeRec> = members
+                .iter()
+                .map(|&label| TreeRec {
+                    label,
+                    c2: 0,
+                    p2: None,
+                    deg_h: 0,
+                })
+                .collect();
+            let l_aux = members[0];
+            for &label in &members {
+                let input = VertexInput {
+                    label,
+                    members: BTreeMap::from([(
+                        label,
+                        MemberRec {
+                            ident: label,
+                            depth: 0,
+                            payload: (),
+                            intra: vec![],
+                            border: vec![],
+                        },
+                    )]),
+                };
+                let mut v = Lemma15Vertex::new(cfg, &input);
+                v.tree = tree.clone();
+                v.l_aux = l_aux;
+                v.absorb_edges(lists.clone());
+                assert_eq!(
+                    v.delta_aux,
+                    reference_delta(&tree, &lists, l_aux, label),
+                    "seed {seed}, vertex {label}"
+                );
+            }
+        }
     }
 }

@@ -90,7 +90,21 @@ impl<P: OLocalProblem> Lemma11Vertex<P> {
     }
 
     /// Decide every member in `(δ, ident)` order (the paper's `µ_G`).
+    ///
+    /// Every member's greedy step sees, as `closure_outputs`, the received
+    /// closures (for problems that need them), its border out-neighbors,
+    /// and every output decided so far in this cluster. One running map
+    /// holds the first and last of these: each decided output is inserted
+    /// once, and a member's border out-neighbors are inserted before its
+    /// step and taken out again after it. For a cluster of `k` members and
+    /// `e` incident edges a replica therefore spends `O((k + e) log k)`
+    /// here, plus one insert per received closure entry.
     fn decide(&mut self) {
+        #[cfg(test)]
+        if tests::REFERENCE_DECIDE.with(std::cell::Cell::get) {
+            return tests::decide_reference(self);
+        }
+        let full = self.problem.needs_full_closure();
         let mut order: Vec<(u32, u64)> = self
             .input
             .members
@@ -98,7 +112,7 @@ impl<P: OLocalProblem> Lemma11Vertex<P> {
             .map(|m| (m.depth, m.ident))
             .collect();
         order.sort_unstable();
-        if self.problem.needs_full_closure() {
+        if full {
             for st in self.states.values() {
                 for (i, o) in st.outputs.iter().chain(st.closure.iter()) {
                     self.closure.insert(*i, o.clone());
@@ -106,10 +120,13 @@ impl<P: OLocalProblem> Lemma11Vertex<P> {
             }
         }
         let mut decided: BTreeMap<u64, P::Output> = BTreeMap::new();
+        let mut out_neighbors: Vec<(u64, P::Output)> = Vec::new();
+        let mut shadowed: Vec<(u64, Option<P::Output>)> = Vec::new();
         for (depth, ident) in order {
             let m = &self.input.members[&ident];
-            let mut out_neighbors: Vec<(u64, P::Output)> = Vec::new();
-            // Intra-cluster out-neighbors: smaller (δ, ident).
+            out_neighbors.clear();
+            // Intra-cluster out-neighbors: smaller (δ, ident). Their outputs
+            // are already in the running map.
             for &u in &m.intra {
                 let mu = &self.input.members[&u];
                 if (mu.depth, mu.ident) < (depth, ident) {
@@ -125,36 +142,35 @@ impl<P: OLocalProblem> Lemma11Vertex<P> {
                              must have arrived before φ"
                         )
                     });
-                    let out = st
+                    // `outputs` is built from a `BTreeMap`: sorted by ident.
+                    let k = st
                         .outputs
-                        .iter()
-                        .find(|(i, _)| *i == nbr_ident)
-                        .map(|(_, o)| o.clone())
+                        .binary_search_by_key(&nbr_ident, |(i, _)| *i)
                         .expect("neighbor cluster reports all members");
+                    let out = st.outputs[k].1.clone();
+                    shadowed.push((nbr_ident, self.closure.insert(nbr_ident, out.clone())));
                     out_neighbors.push((nbr_ident, out));
                 }
-            }
-            let mut closure: BTreeMap<u64, P::Output> = self.closure.clone();
-            for (i, o) in &out_neighbors {
-                closure.insert(*i, o.clone());
-            }
-            for (i, o) in &decided {
-                closure.insert(*i, o.clone());
             }
             let gv = GreedyView {
                 ident,
                 degree: m.intra.len() + m.border.len(),
                 input: &m.payload.1,
                 out_neighbors: &out_neighbors,
-                closure_outputs: &closure,
+                closure_outputs: &self.closure,
             };
             let out = self.problem.decide(&gv);
+            for (i, old) in shadowed.drain(..).rev() {
+                match old {
+                    Some(o) => self.closure.insert(i, o),
+                    None => self.closure.remove(&i),
+                };
+            }
+            self.closure.insert(ident, out.clone());
             decided.insert(ident, out);
         }
-        if self.problem.needs_full_closure() {
-            for (i, o) in &decided {
-                self.closure.insert(*i, o.clone());
-            }
+        if !full {
+            self.closure.clear();
         }
         self.decided = Some(decided);
     }
@@ -450,16 +466,151 @@ mod tests {
     use awake_olocal::problems::{
         DegreePlusOneListColoring, DeltaPlusOneColoring, MaximalIndependentSet, MinimalVertexCover,
     };
+    use awake_olocal::Violation;
+    use std::cell::Cell;
 
-    #[test]
-    fn theorem9_on_synthetic_clusterings() {
-        for (g, k) in [
+    thread_local! {
+        /// Routes [`Lemma11Vertex::decide`] to [`decide_reference`] on this
+        /// thread (the serial engine runs every replica on the caller's).
+        pub(super) static REFERENCE_DECIDE: Cell<bool> = const { Cell::new(false) };
+    }
+
+    /// The per-member closure construction `decide` replaced: a fresh copy
+    /// of the received closures plus the member's out-neighbors plus every
+    /// output decided so far, for each member; border outputs found by a
+    /// linear scan.
+    pub(super) fn decide_reference<P: OLocalProblem>(v: &mut Lemma11Vertex<P>) {
+        let mut order: Vec<(u32, u64)> = v
+            .input
+            .members
+            .values()
+            .map(|m| (m.depth, m.ident))
+            .collect();
+        order.sort_unstable();
+        if v.problem.needs_full_closure() {
+            for st in v.states.values() {
+                for (i, o) in st.outputs.iter().chain(st.closure.iter()) {
+                    v.closure.insert(*i, o.clone());
+                }
+            }
+        }
+        let mut decided: BTreeMap<u64, P::Output> = BTreeMap::new();
+        for (depth, ident) in order {
+            let m = &v.input.members[&ident];
+            let mut out_neighbors: Vec<(u64, P::Output)> = Vec::new();
+            for &u in &m.intra {
+                let mu = &v.input.members[&u];
+                if (mu.depth, mu.ident) < (depth, ident) {
+                    out_neighbors.push((u, decided[&u].clone()));
+                }
+            }
+            for &(nbr_ident, nbr_label, _, ref pl) in &m.border {
+                if pl.0 < v.color {
+                    let out = v.states[&nbr_label]
+                        .outputs
+                        .iter()
+                        .find(|(i, _)| *i == nbr_ident)
+                        .map(|(_, o)| o.clone())
+                        .expect("neighbor cluster reports all members");
+                    out_neighbors.push((nbr_ident, out));
+                }
+            }
+            let mut closure: BTreeMap<u64, P::Output> = v.closure.clone();
+            for (i, o) in &out_neighbors {
+                closure.insert(*i, o.clone());
+            }
+            for (i, o) in &decided {
+                closure.insert(*i, o.clone());
+            }
+            let gv = GreedyView {
+                ident,
+                degree: m.intra.len() + m.border.len(),
+                input: &m.payload.1,
+                out_neighbors: &out_neighbors,
+                closure_outputs: &closure,
+            };
+            let out = v.problem.decide(&gv);
+            decided.insert(ident, out);
+        }
+        if v.problem.needs_full_closure() {
+            for (i, o) in &decided {
+                v.closure.insert(*i, o.clone());
+            }
+        }
+        v.decided = Some(decided);
+    }
+
+    /// A test-only O-LOCAL problem whose output digests everything the
+    /// greedy step is shown: its ident, degree, out-neighbors, and every
+    /// `closure_outputs` key and value. Any difference in what Theorem 9
+    /// hands a member changes that member's output.
+    #[derive(Debug, Clone, Copy)]
+    struct ClosureDigest {
+        full: bool,
+    }
+
+    impl OLocalProblem for ClosureDigest {
+        type Input = ();
+        type Output = u64;
+
+        fn name(&self) -> &'static str {
+            "closure-digest"
+        }
+
+        fn decide(&self, view: &GreedyView<'_, (), u64>) -> u64 {
+            // FNV-1a over the view's integers.
+            let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+            let mut mix = |x: u64| {
+                for b in x.to_le_bytes() {
+                    h = (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+                }
+            };
+            mix(view.ident);
+            mix(view.degree as u64);
+            for &(i, o) in view.out_neighbors {
+                mix(i);
+                mix(o);
+            }
+            mix(view.closure_outputs.len() as u64);
+            for (&i, &o) in view.closure_outputs {
+                mix(i);
+                mix(o);
+            }
+            h
+        }
+
+        fn validate(&self, _: &Graph, _: &[()], _: &[u64]) -> Result<(), Violation> {
+            Ok(())
+        }
+
+        fn needs_full_closure(&self) -> bool {
+            self.full
+        }
+
+        fn trivial_inputs(&self, graph: &Graph) -> Vec<()> {
+            vec![(); graph.n()]
+        }
+    }
+
+    /// The clusterings `theorem9_on_synthetic_clusterings` solves on.
+    fn synthetic_cases() -> Vec<(Graph, Clustering)> {
+        [
             (generators::grid(7, 7), 8),
             (generators::gnp(60, 0.1, 3), 12),
             (generators::random_tree(45, 2), 5),
             (generators::clique_cycle(6, 5), 6),
-        ] {
+        ]
+        .into_iter()
+        .map(|(g, k)| {
             let cl = synthesize(&g, k, 11);
+            (g, cl)
+        })
+        .collect()
+    }
+
+    #[test]
+    fn theorem9_on_synthetic_clusterings() {
+        for (g, cl) in synthetic_cases() {
             cl.validate_colored(&g).unwrap();
             let c = cl.max_label();
 
@@ -513,5 +664,30 @@ mod tests {
             a2 <= a1 + 5 * ((c2 as f64 / c1 as f64).log2().ceil() as u64 + 2),
             "a1={a1} (c={c1}), a2={a2} (c={c2})"
         );
+    }
+
+    #[test]
+    fn running_closure_matches_per_member_reference() {
+        for (g, cl) in synthetic_cases() {
+            let c = cl.max_label();
+            for p in [ClosureDigest { full: true }, ClosureDigest { full: false }] {
+                let solve_once = |reference: bool| {
+                    REFERENCE_DECIDE.with(|f| f.set(reference));
+                    let r = solve(&g, &p, &vec![(); g.n()], &cl, c);
+                    REFERENCE_DECIDE.with(|f| f.set(false));
+                    r.unwrap()
+                };
+                let (fast, reference) = (solve_once(false), solve_once(true));
+                assert_eq!(fast.outputs, reference.outputs, "full closure: {}", p.full);
+                let metrics = |r: &Theorem9Result<u64>| {
+                    r.composition
+                        .stages
+                        .iter()
+                        .map(|s| s.metrics.clone())
+                        .collect::<Vec<_>>()
+                };
+                assert_eq!(metrics(&fast), metrics(&reference));
+            }
+        }
     }
 }

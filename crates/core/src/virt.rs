@@ -20,10 +20,9 @@
 //! proves ≤ 7), and clusters whose vertex sleeps are entirely asleep —
 //! messages sent to them are lost, exactly the Sleeping semantics on `H`.
 
-use crate::gather::{gather_rounds, ClusterView, GatherCore, GatherMsg, GatherStep, MemberRec};
+use crate::gather::{gather_rounds, GatherCore, GatherMsg, GatherStep, MemberRec};
 use awake_sleeping::{
-    Action, CheckpointError, Codec, Envelope, Outbox, Outgoing, Persist, Program, Reader, Round,
-    View, Writer,
+    Action, CheckpointError, Codec, Envelope, Outbox, Persist, Program, Reader, Round, View, Writer,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -41,13 +40,6 @@ pub struct VertexInput<P> {
 }
 
 impl<P: Clone> VertexInput<P> {
-    fn from_view(view: &ClusterView<P>) -> Self {
-        VertexInput {
-            label: view.label,
-            members: view.members.clone(),
-        }
-    }
-
     /// Sorted distinct labels of adjacent vertices in `H`.
     pub fn neighbor_labels(&self) -> Vec<u64> {
         let mut l: Vec<u64> = self
@@ -431,10 +423,7 @@ where
         let db = self.depth_bound;
         match &mut self.st {
             St::Inactive | St::Done => {}
-            St::Gather(core) => out.extend(core.send_at(view.round).into_iter().map(|o| match o {
-                Outgoing::To(p, m) => Outgoing::To(p, VirtMsg::Gather(m)),
-                Outgoing::Broadcast(m) => Outgoing::Broadcast(VirtMsg::Gather(m)),
-            })),
+            St::Gather(core) => core.send_at(view.round, out, VirtMsg::Gather),
             St::Run(run) => {
                 let round = view.round;
                 if !run.vp_done && round == t0(db, run.next) {
@@ -497,9 +486,12 @@ where
                 match core.recv_at(round, &ginbox) {
                     GatherStep::WakeAt(r) => Action::SleepUntil(r),
                     GatherStep::Done => {
-                        let cview = core.view().expect("gather done").clone();
-                        let vinput = VertexInput::from_view(&cview);
-                        let vp = (self.factory)(&vinput);
+                        // The core is spent: its view becomes the replica's
+                        // input and ports without a copy.
+                        let St::Gather(core) = std::mem::replace(&mut self.st, St::Done) else {
+                            unreachable!()
+                        };
+                        let cview = core.into_view().expect("gather done");
                         let has_children = cview.my_ports.iter().any(|&(_, nid, l)| {
                             l == cview.label
                                 && cview
@@ -507,12 +499,17 @@ where
                                     .get(&nid)
                                     .is_some_and(|m| m.depth == cview.my_depth + 1)
                         });
+                        let vinput = VertexInput {
+                            label: cview.label,
+                            members: cview.members,
+                        };
+                        let vp = (self.factory)(&vinput);
                         let mut run = Box::new(RunState {
                             vp,
                             vinput,
                             depth: cview.my_depth,
                             has_children,
-                            ports: cview.my_ports.clone(),
+                            ports: cview.my_ports,
                             label: cview.label,
                             cur: 1,
                             next: 1,
