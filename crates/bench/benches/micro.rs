@@ -261,7 +261,9 @@ fn bench_threaded_flood(g: &Graph) -> PerfStats {
         let progs = mk();
         let a0 = alloc_count();
         let t0 = Instant::now();
-        let run = threaded::run_threaded(g, progs, Config::default(), 4).unwrap();
+        let run = Engine::with_workers(g, Config::default(), Some(4))
+            .run(progs)
+            .unwrap();
         let ns = t0.elapsed().as_nanos() as f64;
         allocs = alloc_count() - a0;
         totals = (run.metrics.total_awake(), run.metrics.messages_sent);
@@ -327,7 +329,9 @@ fn bench_threaded_scaling() -> (ThreadedScaling, PhaseTimesBench) {
         .map(|workers| ScalingRow {
             workers,
             stats: measure(&|progs| {
-                threaded::run_threaded(&g, progs, Config::default(), workers).unwrap()
+                Engine::with_workers(&g, Config::default(), Some(workers))
+                    .run(progs)
+                    .unwrap()
             }),
         })
         .collect();
@@ -348,7 +352,9 @@ fn bench_threaded_scaling() -> (ThreadedScaling, PhaseTimesBench) {
     // The sweep is only meaningful if the pipeline computes the serial
     // answer — assert full bit-for-bit agreement once at this scale.
     let s = Engine::new(&g, Config::default()).run(mk()).unwrap();
-    let t = threaded::run_threaded(&g, mk(), Config::default(), 4).unwrap();
+    let t = Engine::with_workers(&g, Config::default(), Some(4))
+        .run(mk())
+        .unwrap();
     assert_eq!(s.outputs, t.outputs, "scaling bench executors must agree");
     assert_eq!(s.metrics, t.metrics, "scaling bench metrics must agree");
     assert_eq!(s.outputs, timed.outputs, "timed executor must agree");
@@ -395,7 +401,7 @@ fn bench_edge_problems() -> EdgeProblemsBench {
         inputs: &[P::Input],
     ) -> (PerfStats, Vec<P::Output>)
     where
-        P: EdgeProblem + Clone,
+        P: EdgeProblem + Clone + Send + Sync,
     {
         let mut best_ns = f64::INFINITY;
         let mut allocs = 0u64;

@@ -1,7 +1,9 @@
 //! Shared helpers for the experiment harness.
 //!
 //! Each `benches/exp_*.rs` target regenerates one evaluation artifact of
-//! the paper (see DESIGN.md §4 and EXPERIMENTS.md) and prints a table.
+//! the paper and prints a table; each target's module doc states what it
+//! measures and the claim it checks, and the README's "Paper-to-module
+//! correspondence" section maps the paper's lemmas to the modules run.
 
 use awake_core::trivial::TrivialGreedy;
 use awake_graphs::Graph;
@@ -9,7 +11,7 @@ use awake_olocal::OLocalProblem;
 use awake_sleeping::{Config, Engine, Metrics};
 
 /// Run the trivial baseline and return its metrics.
-pub fn run_trivial<P: OLocalProblem + Clone>(g: &Graph, p: &P) -> Metrics {
+pub fn run_trivial<P: OLocalProblem + Clone + Send + Sync>(g: &Graph, p: &P) -> Metrics {
     let inputs = p.trivial_inputs(g);
     let programs: Vec<TrivialGreedy<P>> = g
         .nodes()

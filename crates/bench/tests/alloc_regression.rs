@@ -70,7 +70,7 @@ fn counting() -> MutexGuard<'static, ()> {
 /// is setup, not steady state), the engine run is counted.
 fn engine_allocs_per_node_round<P>(g: &Graph, problem: &P, inputs: &[P::Input]) -> f64
 where
-    P: EdgeProblem + Clone,
+    P: EdgeProblem + Clone + Send + Sync,
 {
     let idx = EdgeIndex::new(g);
     let programs: Vec<LineGraphHost<EdgeGreedy<P>>> =

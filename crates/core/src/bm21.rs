@@ -13,7 +13,7 @@ use crate::linial::{self, ColorReduction};
 use crate::resilient::run_stage;
 use awake_graphs::Graph;
 use awake_olocal::OLocalProblem;
-use awake_sleeping::{Codec, Config, Engine, FaultPlan, SimError};
+use awake_sleeping::{Codec, Config, FaultPlan, SimError};
 
 /// Result of a BM21 run.
 #[derive(Debug)]
@@ -42,45 +42,10 @@ pub fn solve<P>(
     delta: Option<usize>,
 ) -> Result<Bm21Result<P::Output>, SimError>
 where
-    P: OLocalProblem + Clone,
+    P: OLocalProblem + Clone + Send + Sync,
+    P::Output: Codec,
 {
-    assert_eq!(inputs.len(), g.n(), "inputs length mismatch");
-    let delta = delta.unwrap_or_else(|| g.max_degree()).max(1) as u64;
-    let mut composition = Composition::new();
-
-    // Stage 1: Linial to k = O(Δ²) colors. Hoist the `O(n)` ident-bound
-    // scan out of the per-node loop — inline it was `O(n²)`, which
-    // dominated the whole sweep past n ≈ 2^14.
-    let ident_bound = g.ident_bound();
-    let programs: Vec<ColorReduction> = g
-        .nodes()
-        .map(|v| ColorReduction::from_ident(g.ident(v), ident_bound, delta))
-        .collect();
-    let run = Engine::new(g, Config::default()).run(programs)?;
-    let k = linial::final_palette(delta);
-    let colors: Vec<u64> = run.outputs.iter().map(|c| c + 1).collect();
-    composition.push("bm21/linial", run.metrics);
-
-    // Stage 2: Lemma 11 on the computed coloring.
-    let programs: Vec<ColorScheduled<P>> = g
-        .nodes()
-        .map(|v| {
-            ColorScheduled::new(
-                problem.clone(),
-                inputs[v.index()].clone(),
-                colors[v.index()],
-                k,
-            )
-        })
-        .collect();
-    let run = Engine::new(g, Config::default()).run(programs)?;
-    composition.push("bm21/lemma11", run.metrics);
-
-    Ok(Bm21Result {
-        outputs: run.outputs,
-        composition,
-        colors,
-    })
+    solve_impl(g, problem, inputs, delta, None, None)
 }
 
 /// [`solve`] under the crate's [recovery contract](crate::resilient):
@@ -107,11 +72,29 @@ where
     P: OLocalProblem + Clone + Send + Sync,
     P::Output: Codec,
 {
+    solve_impl(g, problem, inputs, delta, Some(plan), workers)
+}
+
+fn solve_impl<P>(
+    g: &Graph,
+    problem: &P,
+    inputs: &[P::Input],
+    delta: Option<usize>,
+    plan: Option<&FaultPlan>,
+    workers: Option<usize>,
+) -> Result<Bm21Result<P::Output>, SimError>
+where
+    P: OLocalProblem + Clone + Send + Sync,
+    P::Output: Codec,
+{
     assert_eq!(inputs.len(), g.n(), "inputs length mismatch");
     let delta = delta.unwrap_or_else(|| g.max_degree()).max(1) as u64;
     let stage_budgets = bounds::bm21_stage_budgets(g, delta);
     let mut composition = Composition::new();
 
+    // Stage 1: Linial to k = O(Δ²) colors. Hoist the `O(n)` ident-bound
+    // scan out of the per-node loop — inline it was `O(n²)`, which
+    // dominated the whole sweep past n ≈ 2^14.
     let ident_bound = g.ident_bound();
     let programs: Vec<ColorReduction> = g
         .nodes()
@@ -122,13 +105,14 @@ where
         programs,
         Config::default(),
         stage_budgets[0].rounds,
-        Some(plan),
+        plan,
         workers,
     )?;
     let k = linial::final_palette(delta);
     let colors: Vec<u64> = run.outputs.iter().map(|c| c + 1).collect();
     composition.push("bm21/linial", run.metrics);
 
+    // Stage 2: Lemma 11 on the computed coloring.
     let programs: Vec<ColorScheduled<P>> = g
         .nodes()
         .map(|v| {
@@ -145,7 +129,7 @@ where
         programs,
         Config::default(),
         stage_budgets[1].rounds,
-        Some(plan),
+        plan,
         workers,
     )?;
     composition.push("bm21/lemma11", run.metrics);

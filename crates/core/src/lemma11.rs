@@ -230,7 +230,7 @@ mod tests {
             .collect()
     }
 
-    fn run_lemma11<P: OLocalProblem + Clone>(
+    fn run_lemma11<P: OLocalProblem + Clone + Send + Sync>(
         g: &Graph,
         p: P,
         colors: &[u64],

@@ -25,15 +25,15 @@
 //! [`EdgeGreedy`] inner program is the by-label sequential greedy for any
 //! [`EdgeProblem`] — the trivial `O(Δ_L)`-awake baseline on `L(G)` —
 //! executed unchanged by the serial engine or the worker-pool executor
-//! ([`solve_edges`] / [`solve_edges_threaded`]).
+//! ([`solve_edges`], or [`solve_edges_faulty`] with `workers`).
 
 use crate::resilient::run_stage;
 use crate::virt::{VEnvelope, VOutgoing, VirtMsg, VirtualProgram};
 use awake_graphs::{Graph, NodeId};
 use awake_olocal::edge::{EdgeGreedyView, EdgeIndex, EdgeProblem};
 use awake_sleeping::{
-    threaded, Action, CheckpointError, Codec, Config, Engine, Envelope, FaultPlan, Metrics, Outbox,
-    Persist, Program, Reader, Round, SimError, View, Writer,
+    Action, CheckpointError, Codec, Config, Envelope, FaultPlan, Metrics, Outbox, Persist, Program,
+    Reader, Round, SimError, View, Writer,
 };
 use std::sync::Arc;
 
@@ -504,36 +504,10 @@ pub fn solve_edges<EP>(
     config: Config,
 ) -> Result<EdgeRun<EP::Output>, SimError>
 where
-    EP: EdgeProblem + Clone,
-{
-    let idx = EdgeIndex::new(g);
-    let programs = greedy_hosts(g, &idx, problem, inputs);
-    let run = Engine::new(g, config).run(programs)?;
-    Ok(collect(&idx, run.outputs, run.metrics))
-}
-
-/// [`solve_edges`] on the worker-pool executor — bit-for-bit identical
-/// results, per the executor equivalence contract.
-///
-/// # Errors
-/// Propagates engine errors.
-///
-/// # Panics
-/// Panics if `inputs.len() != g.m()`.
-pub fn solve_edges_threaded<EP>(
-    g: &Graph,
-    problem: &EP,
-    inputs: &[EP::Input],
-    config: Config,
-    workers: usize,
-) -> Result<EdgeRun<EP::Output>, SimError>
-where
     EP: EdgeProblem + Clone + Send + Sync,
+    EP::Output: Codec,
 {
-    let idx = EdgeIndex::new(g);
-    let programs = greedy_hosts(g, &idx, problem, inputs);
-    let run = threaded::run_threaded(g, programs, config, workers)?;
-    Ok(collect(&idx, run.outputs, run.metrics))
+    solve_edges_impl(g, problem, inputs, config, None, None)
 }
 
 /// [`solve_edges`] under a seeded fault plan, following the crate's
@@ -542,10 +516,10 @@ where
 /// `plan`, so crash-restarts of a host (which rewind *all* of its
 /// replicas at once), dropped `VirtMsg` frames, duplicates, and delays
 /// are all masked by retransmission inside each stretched window.
-/// Deterministic and bit-for-bit identical to
-/// [`solve_edges_threaded_faulty`] under the same plan at any worker
-/// count. With a quiet period after the last fault the outputs stay
-/// valid and the accounting stays within
+/// `workers` selects the worker-pool executor (`None`: the serial
+/// engine); the run is deterministic and bit-for-bit identical at any
+/// worker count. With a quiet period after the last fault the outputs
+/// stay valid and the accounting stays within
 /// [`crate::bounds::degraded_budget_for`]. An inactive plan runs exactly
 /// like [`solve_edges`].
 ///
@@ -560,42 +534,21 @@ pub fn solve_edges_faulty<EP>(
     inputs: &[EP::Input],
     config: Config,
     plan: &FaultPlan,
+    workers: Option<usize>,
 ) -> Result<EdgeRun<EP::Output>, SimError>
 where
     EP: EdgeProblem + Clone + Send + Sync,
     EP::Output: Codec,
 {
-    solve_edges_resilient(g, problem, inputs, config, plan, None)
+    solve_edges_impl(g, problem, inputs, config, Some(plan), workers)
 }
 
-/// [`solve_edges_faulty`] on the worker-pool executor.
-///
-/// # Errors
-/// Propagates engine errors.
-///
-/// # Panics
-/// Panics if `inputs.len() != g.m()`.
-pub fn solve_edges_threaded_faulty<EP>(
+fn solve_edges_impl<EP>(
     g: &Graph,
     problem: &EP,
     inputs: &[EP::Input],
     config: Config,
-    workers: usize,
-    plan: &FaultPlan,
-) -> Result<EdgeRun<EP::Output>, SimError>
-where
-    EP: EdgeProblem + Clone + Send + Sync,
-    EP::Output: Codec,
-{
-    solve_edges_resilient(g, problem, inputs, config, plan, Some(workers))
-}
-
-fn solve_edges_resilient<EP>(
-    g: &Graph,
-    problem: &EP,
-    inputs: &[EP::Input],
-    config: Config,
-    plan: &FaultPlan,
+    plan: Option<&FaultPlan>,
     workers: Option<usize>,
 ) -> Result<EdgeRun<EP::Output>, SimError>
 where
@@ -605,7 +558,7 @@ where
     let idx = EdgeIndex::new(g);
     let programs = greedy_hosts(g, &idx, problem, inputs);
     let base_rounds = crate::bounds::linegraph_rounds(g).max(1);
-    let run = run_stage(g, programs, config, base_rounds, Some(plan), workers)?;
+    let run = run_stage(g, programs, config, base_rounds, plan, workers)?;
     Ok(collect(&idx, run.outputs, run.metrics))
 }
 
@@ -723,6 +676,7 @@ mod tests {
     use super::*;
     use awake_graphs::generators;
     use awake_olocal::edge::{solve_edges_sequentially, EdgeColoring, MaximalMatching};
+    use awake_sleeping::Engine;
 
     fn families() -> Vec<Graph> {
         vec![
@@ -810,8 +764,15 @@ mod tests {
         let inputs = vec![(); g.m()];
         let a = solve_edges(&g, &EdgeColoring, &inputs, Config::default()).unwrap();
         for workers in [1, 2, 4] {
-            let b = solve_edges_threaded(&g, &EdgeColoring, &inputs, Config::default(), workers)
-                .unwrap();
+            let b = solve_edges_faulty(
+                &g,
+                &EdgeColoring,
+                &inputs,
+                Config::default(),
+                &FaultPlan::new(0),
+                Some(workers),
+            )
+            .unwrap();
             assert_eq!(a.outputs, b.outputs, "workers = {workers}");
             assert_eq!(a.metrics, b.metrics, "workers = {workers}");
         }

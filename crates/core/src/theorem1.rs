@@ -47,10 +47,12 @@ pub fn solve<P>(
     options: Options,
 ) -> Result<Theorem1Result<P::Output>, SimError>
 where
-    P: OLocalProblem + Clone,
+    P: OLocalProblem + Clone + Send + Sync,
+    P::Input: Codec,
+    P::Output: Codec,
 {
     let inputs = problem.trivial_inputs(g);
-    solve_with_inputs(g, problem, &inputs, options)
+    solve_impl(g, problem, &inputs, options, None, None)
 }
 
 /// Solve `problem` on `g` end to end with explicit per-node inputs.
@@ -64,21 +66,11 @@ pub fn solve_with_inputs<P>(
     options: Options,
 ) -> Result<Theorem1Result<P::Output>, SimError>
 where
-    P: OLocalProblem + Clone,
+    P: OLocalProblem + Clone + Send + Sync,
+    P::Input: Codec,
+    P::Output: Codec,
 {
-    let params = options.params.unwrap_or_else(|| Params::for_graph(g));
-    let t13 = theorem13::compute(g, &params)?;
-    let t9 = theorem9::solve(g, problem, inputs, &t13.clustering, params.color_bound())?;
-    let mut composition = Composition::new();
-    composition.extend_prefixed("theorem1", t13.composition);
-    composition.extend_prefixed("theorem1", t9.composition);
-    Ok(Theorem1Result {
-        outputs: t9.outputs,
-        composition,
-        clustering: t13.clustering,
-        iteration_stats: t13.iteration_stats,
-        params,
-    })
+    solve_impl(g, problem, inputs, options, None, None)
 }
 
 /// [`solve`] under the crate's [recovery contract](crate::resilient):
@@ -103,7 +95,7 @@ where
     P::Output: Codec,
 {
     let inputs = problem.trivial_inputs(g);
-    solve_with_inputs_faulty(g, problem, &inputs, options, plan, workers)
+    solve_impl(g, problem, &inputs, options, Some(plan), workers)
 }
 
 /// [`solve_with_inputs`] under the recovery contract — see
@@ -124,9 +116,25 @@ where
     P::Input: Codec,
     P::Output: Codec,
 {
+    solve_impl(g, problem, inputs, options, Some(plan), workers)
+}
+
+fn solve_impl<P>(
+    g: &Graph,
+    problem: &P,
+    inputs: &[P::Input],
+    options: Options,
+    plan: Option<&FaultPlan>,
+    workers: Option<usize>,
+) -> Result<Theorem1Result<P::Output>, SimError>
+where
+    P: OLocalProblem + Clone + Send + Sync,
+    P::Input: Codec,
+    P::Output: Codec,
+{
     let params = options.params.unwrap_or_else(|| Params::for_graph(g));
-    let t13 = theorem13::compute_faulty(g, &params, plan, workers)?;
-    let t9 = theorem9::solve_faulty(
+    let t13 = theorem13::compute_impl(g, &params, plan, workers)?;
+    let t9 = theorem9::solve_impl(
         g,
         problem,
         inputs,

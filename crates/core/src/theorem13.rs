@@ -91,7 +91,7 @@ pub fn compute_faulty(
     compute_impl(g, params, Some(plan), workers)
 }
 
-fn compute_impl(
+pub(crate) fn compute_impl(
     g: &Graph,
     params: &Params,
     plan: Option<&FaultPlan>,

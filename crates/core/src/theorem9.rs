@@ -25,8 +25,7 @@ use crate::virt::{VEnvelope, VOutgoing, VertexInput, VirtSim};
 use awake_graphs::Graph;
 use awake_olocal::{GreedyView, OLocalProblem};
 use awake_sleeping::{
-    Action, CheckpointError, Codec, Config, Engine, FaultPlan, Persist, Reader, Round, SimError,
-    Writer,
+    Action, CheckpointError, Codec, Config, FaultPlan, Persist, Reader, Round, SimError, Writer,
 };
 use std::collections::BTreeMap;
 
@@ -296,66 +295,11 @@ pub fn solve<P>(
     c_bound: u64,
 ) -> Result<Theorem9Result<P::Output>, SimError>
 where
-    P: OLocalProblem + Clone,
+    P: OLocalProblem + Clone + Send + Sync,
+    P::Input: Codec,
+    P::Output: Codec,
 {
-    assert_eq!(inputs.len(), g.n(), "inputs length mismatch");
-    assert_eq!(clustering.assigned(), g.n(), "Theorem 9 needs a full cover");
-    assert!(
-        clustering.max_label() <= c_bound,
-        "colors exceed the public bound"
-    );
-    let mut composition = Composition::new();
-    let db = g.n() as u32;
-
-    // ---- Stage 1: learn root identifiers (colored → uniquely labeled) ----
-    let programs: Vec<ClusterGather<()>> = g
-        .nodes()
-        .map(|v| {
-            let a = clustering.assign[v.index()].expect("full cover");
-            ClusterGather::participant(a.label, a.depth, g.ident(v), (), db)
-        })
-        .collect();
-    let run = Engine::new(g, Config::default()).run(programs)?;
-    let root_ident: Vec<u64> = run
-        .outputs
-        .iter()
-        .map(|o| o.as_ref().expect("participants finish").root_ident())
-        .collect();
-    composition.push("theorem9/root-overlay", run.metrics);
-
-    // ---- Stage 2: Lemma 11 on H via Lemma 7 ----
-    let programs: Vec<VirtSim<Lemma11Vertex<P>, _>> = g
-        .nodes()
-        .map(|v| {
-            let a = clustering.assign[v.index()].expect("full cover");
-            let payload: Payload<P::Input> = (a.label, inputs[v.index()].clone());
-            let problem = problem.clone();
-            VirtSim::participant(
-                root_ident[v.index()],
-                a.depth,
-                g.ident(v),
-                payload,
-                db,
-                move |vi| Lemma11Vertex::new(problem.clone(), vi, c_bound),
-            )
-        })
-        .collect();
-    let run = Engine::new(g, Config::default()).run(programs)?;
-    composition.push("theorem9/lemma11-on-H", run.metrics);
-
-    let outputs: Vec<P::Output> = g
-        .nodes()
-        .map(|v| {
-            run.outputs[v.index()]
-                .as_ref()
-                .expect("participants finish")[&g.ident(v)]
-                .clone()
-        })
-        .collect();
-    Ok(Theorem9Result {
-        outputs,
-        composition,
-    })
+    solve_impl(g, problem, inputs, clustering, c_bound, None, None)
 }
 
 /// [`solve`] under the crate's [recovery contract](crate::resilient):
@@ -384,6 +328,23 @@ where
     P::Input: Codec,
     P::Output: Codec,
 {
+    solve_impl(g, problem, inputs, clustering, c_bound, Some(plan), workers)
+}
+
+pub(crate) fn solve_impl<P>(
+    g: &Graph,
+    problem: &P,
+    inputs: &[P::Input],
+    clustering: &Clustering,
+    c_bound: u64,
+    plan: Option<&FaultPlan>,
+    workers: Option<usize>,
+) -> Result<Theorem9Result<P::Output>, SimError>
+where
+    P: OLocalProblem + Clone + Send + Sync,
+    P::Input: Codec,
+    P::Output: Codec,
+{
     assert_eq!(inputs.len(), g.n(), "inputs length mismatch");
     assert_eq!(clustering.assigned(), g.n(), "Theorem 9 needs a full cover");
     assert!(
@@ -394,6 +355,7 @@ where
     let db = g.n() as u32;
     let stage_budgets = crate::bounds::theorem9_stage_budgets(db, c_bound);
 
+    // ---- Stage 1: learn root identifiers (colored → uniquely labeled) ----
     let programs: Vec<ClusterGather<()>> = g
         .nodes()
         .map(|v| {
@@ -406,7 +368,7 @@ where
         programs,
         Config::default(),
         stage_budgets[0].rounds,
-        Some(plan),
+        plan,
         workers,
     )?;
     let root_ident: Vec<u64> = run
@@ -416,6 +378,7 @@ where
         .collect();
     composition.push("theorem9/root-overlay", run.metrics);
 
+    // ---- Stage 2: Lemma 11 on H via Lemma 7 ----
     let programs: Vec<VirtSim<Lemma11Vertex<P>, _>> = g
         .nodes()
         .map(|v| {
@@ -437,7 +400,7 @@ where
         programs,
         Config::default(),
         stage_budgets[1].rounds,
-        Some(plan),
+        plan,
         workers,
     )?;
     composition.push("theorem9/lemma11-on-H", run.metrics);

@@ -16,7 +16,7 @@ use awake_olocal::edge::{EdgeIndex, MaximalMatching};
 use awake_olocal::problems::{DeltaPlusOneColoring, MaximalIndependentSet};
 use awake_olocal::EdgeProblem;
 use awake_sleeping::{
-    threaded, Codec, Config, Engine, FaultPlan, Paused, Persist, Program, Run, Snapshot, TraceMode,
+    Codec, Config, Engine, FaultPlan, Paused, Persist, Program, Run, Snapshot, TraceMode,
 };
 
 /// Workers exercised on every resume (the acceptance matrix).
@@ -69,12 +69,13 @@ where
         };
         paused_at_least_once = true;
         assert_eq!(snap.round(), r, "snapshot stamps its pause bound");
-        let threaded_snap =
-            match threaded::snapshot_at_threaded(g, make(), traced(), 3, plan.as_ref(), r).unwrap()
-            {
-                Paused::Snapshot(s) => s,
-                Paused::Done(_) => panic!("serial paused at {r} but threaded completed"),
-            };
+        let threaded_snap = match Engine::with_workers(g, traced(), Some(3))
+            .snapshot_at(make(), plan.as_ref(), r)
+            .unwrap()
+        {
+            Paused::Snapshot(s) => s,
+            Paused::Done(_) => panic!("serial paused at {r} but threaded completed"),
+        };
         assert_eq!(
             snap.as_bytes(),
             threaded_snap.as_bytes(),
@@ -83,7 +84,9 @@ where
         let resumed = engine.resume(make(), &snap).unwrap();
         assert_same_run(&full, &resumed, &format!("serial resume from round {r}"));
         for w in WORKERS {
-            let resumed = threaded::resume_threaded(g, make(), &snap, w).unwrap();
+            let resumed = Engine::with_workers(g, Config::default(), Some(w))
+                .resume(make(), &snap)
+                .unwrap();
             assert_same_run(
                 &full,
                 &resumed,
@@ -227,6 +230,7 @@ fn corrupted_and_mismatched_snapshots_are_rejected() {
     let err = Engine::new(&other, traced()).resume(mis_programs(&other), &snap);
     assert!(err.is_err(), "snapshot restored onto a different graph");
     // and the threaded resume path applies the same checks
-    let err = threaded::resume_threaded(&other, mis_programs(&other), &snap, 2);
+    let err = Engine::with_workers(&other, Config::default(), Some(2))
+        .resume(mis_programs(&other), &snap);
     assert!(err.is_err(), "threaded resume accepted a mismatched graph");
 }

@@ -16,6 +16,7 @@
 //! checked against pinned seeds rather than argued by construction.
 
 use awake_core::bounds::{self, BoundAlgo, ProblemClass};
+use awake_core::compose::Composition;
 use awake_core::linegraph::{self, greedy_hosts};
 use awake_core::resilient::run_stage;
 use awake_core::trivial::TrivialGreedy;
@@ -25,8 +26,7 @@ use awake_olocal::edge::{EdgeIndex, MaximalMatching};
 use awake_olocal::problems::{DeltaPlusOneColoring, MaximalIndependentSet};
 use awake_olocal::{EdgeProblem, OLocalProblem};
 use awake_sleeping::{
-    redundancy_for, threaded, Codec, Config, Engine, FaultPlan, Metrics, Paused, Persist, Program,
-    Redundant,
+    redundancy_for, Codec, Config, Engine, FaultPlan, Metrics, Paused, Persist, Program, Redundant,
 };
 
 const WORKERS: [usize; 4] = [1, 2, 4, 8];
@@ -67,6 +67,15 @@ fn assert_within(metrics_awake: u64, metrics_rounds: u64, b: bounds::Budget, wha
         "{what}: rounds {metrics_rounds} > degraded budget {}",
         b.rounds
     );
+}
+
+/// Equal stage lists: same names, same `Metrics`, stage by stage.
+fn assert_same_stages(a: &Composition, b: &Composition, what: &str) {
+    assert_eq!(a.stages.len(), b.stages.len(), "{what}: stage count");
+    for (x, y) in a.stages.iter().zip(&b.stages) {
+        assert_eq!(x.name, y.name, "{what}: stage names");
+        assert_eq!(x.metrics, y.metrics, "{what}: {} metrics", x.name);
+    }
 }
 
 // ---- trivial baseline ----
@@ -121,7 +130,10 @@ fn trivial_recovers_within_the_degraded_budget_at_every_worker_count() {
 fn bm21_recovers_within_the_degraded_budget_at_every_worker_count() {
     for g in [generators::gnp(40, 0.1, 6), generators::grid(5, 6)] {
         let p = awake_core::params::Params::for_graph(&g);
-        for plan in [crash_burst(0xB1), messy(0xB2)] {
+        // An inactive plan is one more input: it must run exactly like
+        // the fault-free `bm21::solve`, at every worker count.
+        let fault_free = bm21::solve(&g, &DeltaPlusOneColoring, &vec![(); g.n()], None).unwrap();
+        for plan in [crash_burst(0xB1), messy(0xB2), FaultPlan::new(0xB0)] {
             let budget =
                 bounds::degraded_budget_for(BoundAlgo::Bm21, ProblemClass::Vertex, &g, &p, &plan)
                     .unwrap();
@@ -134,6 +146,15 @@ fn bm21_recovers_within_the_degraded_budget_at_every_worker_count() {
                 None,
             )
             .unwrap();
+            if !plan.is_active() {
+                assert_eq!(fault_free.outputs, serial.outputs, "inactive plan: outputs");
+                assert_eq!(fault_free.colors, serial.colors, "inactive plan: colors");
+                assert_same_stages(
+                    &fault_free.composition,
+                    &serial.composition,
+                    "inactive plan",
+                );
+            }
             DeltaPlusOneColoring
                 .validate(&g, &vec![(); g.n()], &serial.outputs)
                 .unwrap();
@@ -156,15 +177,7 @@ fn bm21_recovers_within_the_degraded_budget_at_every_worker_count() {
                 .unwrap();
                 assert_eq!(serial.outputs, t.outputs, "{w} workers: outputs");
                 assert_eq!(serial.colors, t.colors, "{w} workers: colors");
-                assert_eq!(
-                    serial.composition.stages.len(),
-                    t.composition.stages.len(),
-                    "{w} workers: stage count"
-                );
-                for (a, b) in serial.composition.stages.iter().zip(&t.composition.stages) {
-                    assert_eq!(a.name, b.name, "{w} workers: stage names");
-                    assert_eq!(a.metrics, b.metrics, "{w} workers: {} metrics", a.name);
-                }
+                assert_same_stages(&serial.composition, &t.composition, &format!("{w} workers"));
             }
         }
     }
@@ -176,46 +189,60 @@ fn bm21_recovers_within_the_degraded_budget_at_every_worker_count() {
 fn theorem1_recovers_within_the_degraded_budget_at_every_worker_count() {
     let g = generators::gnp(20, 0.2, 3);
     let p = awake_core::params::Params::for_graph(&g);
-    let plan = crash_burst(0x71);
-    let budget =
-        bounds::degraded_budget_for(BoundAlgo::Theorem1, ProblemClass::Vertex, &g, &p, &plan)
-            .unwrap();
-    let serial = theorem1::solve_faulty(
+    // An inactive plan is one more input: it must run exactly like the
+    // fault-free `theorem1::solve_with_inputs`, at every worker count.
+    let fault_free = theorem1::solve_with_inputs(
         &g,
         &MaximalIndependentSet,
+        &vec![(); g.n()],
         theorem1::Options::default(),
-        &plan,
-        None,
     )
     .unwrap();
-    MaximalIndependentSet
-        .validate(&g, &vec![(); g.n()], &serial.outputs)
-        .unwrap();
-    serial.clustering.validate_colored(&g).unwrap();
-    assert_within(
-        serial.composition.max_awake(),
-        serial.composition.rounds(),
-        budget,
-        "theorem1",
-    );
-    for w in WORKERS {
-        let t = theorem1::solve_faulty(
+    for plan in [crash_burst(0x71), FaultPlan::new(0x70)] {
+        let budget =
+            bounds::degraded_budget_for(BoundAlgo::Theorem1, ProblemClass::Vertex, &g, &p, &plan)
+                .unwrap();
+        let serial = theorem1::solve_faulty(
             &g,
             &MaximalIndependentSet,
             theorem1::Options::default(),
             &plan,
-            Some(w),
+            None,
         )
         .unwrap();
-        assert_eq!(serial.outputs, t.outputs, "{w} workers: outputs");
-        assert_eq!(
-            serial.composition.stages.len(),
-            t.composition.stages.len(),
-            "{w} workers: stage count"
+        MaximalIndependentSet
+            .validate(&g, &vec![(); g.n()], &serial.outputs)
+            .unwrap();
+        serial.clustering.validate_colored(&g).unwrap();
+        assert_within(
+            serial.composition.max_awake(),
+            serial.composition.rounds(),
+            budget,
+            "theorem1",
         );
-        for (a, b) in serial.composition.stages.iter().zip(&t.composition.stages) {
-            assert_eq!(a.name, b.name, "{w} workers: stage names");
-            assert_eq!(a.metrics, b.metrics, "{w} workers: {} metrics", a.name);
+        if !plan.is_active() {
+            assert_eq!(fault_free.outputs, serial.outputs, "inactive plan: outputs");
+            assert_eq!(
+                fault_free.iteration_stats, serial.iteration_stats,
+                "inactive plan: iteration stats"
+            );
+            assert_same_stages(
+                &fault_free.composition,
+                &serial.composition,
+                "inactive plan",
+            );
+        }
+        for w in WORKERS {
+            let t = theorem1::solve_faulty(
+                &g,
+                &MaximalIndependentSet,
+                theorem1::Options::default(),
+                &plan,
+                Some(w),
+            )
+            .unwrap();
+            assert_eq!(serial.outputs, t.outputs, "{w} workers: outputs");
+            assert_same_stages(&serial.composition, &t.composition, &format!("{w} workers"));
         }
     }
 }
@@ -258,9 +285,15 @@ fn edge_adapter_recovers_within_the_degraded_budget_at_every_worker_count() {
         let budget =
             bounds::degraded_budget_for(BoundAlgo::Trivial, ProblemClass::Edge, &g, &p, &plan)
                 .unwrap();
-        let serial =
-            linegraph::solve_edges_faulty(&g, &MaximalMatching, &inputs, Config::default(), &plan)
-                .unwrap();
+        let serial = linegraph::solve_edges_faulty(
+            &g,
+            &MaximalMatching,
+            &inputs,
+            Config::default(),
+            &plan,
+            None,
+        )
+        .unwrap();
         MaximalMatching
             .validate(&g, &inputs, &serial.outputs)
             .unwrap();
@@ -271,13 +304,13 @@ fn edge_adapter_recovers_within_the_degraded_budget_at_every_worker_count() {
             "edge adapter",
         );
         for w in WORKERS {
-            let t = linegraph::solve_edges_threaded_faulty(
+            let t = linegraph::solve_edges_faulty(
                 &g,
                 &MaximalMatching,
                 &inputs,
                 Config::default(),
-                w,
                 &plan,
+                Some(w),
             )
             .unwrap();
             assert_eq!(serial.outputs, t.outputs, "{w} workers: outputs");
@@ -318,7 +351,9 @@ where
         let resumed = engine.resume(make(), &snap).unwrap();
         assert_eq!(full.outputs, resumed.outputs, "{what}: outputs @ {r}");
         assert_eq!(full.metrics, resumed.metrics, "{what}: metrics @ {r}");
-        let resumed = threaded::resume_threaded(g, make(), &snap, 3).unwrap();
+        let resumed = Engine::with_workers(g, Config::default(), Some(3))
+            .resume(make(), &snap)
+            .unwrap();
         assert_eq!(
             full.outputs, resumed.outputs,
             "{what}: threaded outputs @ {r}"

@@ -14,6 +14,7 @@ use crate::report::{Report, ScenarioMetrics, ScenarioReport, Timing};
 use crate::scenario::{Algo, ProblemKind, Scenario};
 use awake_core::bounds::{self, BoundAlgo, ProblemClass};
 use awake_core::params::Params;
+use awake_core::resilient::redundant_sizing;
 use awake_core::trivial::TrivialGreedy;
 use awake_core::{bm21, linegraph, theorem1};
 use awake_graphs::Graph;
@@ -23,8 +24,7 @@ use awake_olocal::problems::{
 };
 use awake_olocal::{EdgeProblem, OLocalProblem};
 use awake_sleeping::{
-    redundancy_for, threaded, Codec, Config, Engine, FaultPlan, Persist, Program, Redundant, Round,
-    Run, SimError, Snapshot,
+    Codec, Config, Engine, FaultPlan, Persist, Program, Redundant, Round, Run, SimError, Snapshot,
 };
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -577,15 +577,14 @@ pub fn budget_of(sc: &Scenario, g: &Graph) -> bounds::Budget {
 /// # Panics
 /// Like [`budget_of`], on an unsupported (algo × problem) pairing.
 pub fn audited_budget_of(sc: &Scenario, g: &Graph, seed: u64) -> bounds::Budget {
-    match sc.faults.map(|f| f.plan(seed)) {
-        Some(plan) if plan.is_active() => {
-            let (algo, class) = bound_axes(sc);
-            let params = Params::for_graph(g);
-            bounds::degraded_budget_for(algo, class, g, &params, &plan)
-                .expect("supported (algo × problem) pairings have degraded budgets")
-        }
-        _ => budget_of(sc, g),
+    let plan = sc.fault_plan(seed);
+    if !plan.is_active() {
+        return budget_of(sc, g);
     }
+    let (algo, class) = bound_axes(sc);
+    let params = Params::for_graph(g);
+    bounds::degraded_budget_for(algo, class, g, &params, &plan)
+        .expect("supported (algo × problem) pairings have degraded budgets")
 }
 
 /// The harness's axis mapping into [`bounds`]: both trivial executors are
@@ -606,10 +605,10 @@ fn bound_axes(sc: &Scenario) -> (BoundAlgo, ProblemClass) {
 
 /// Run a family of vertex programs through every executor path a scenario
 /// can take — resume from a persisted snapshot, fresh checkpointed run, or
-/// plain run; serial or worker-pool; fault-injected or not. All paths are
-/// bit-for-bit equivalent on the deterministic metrics; snapshots carry
-/// the fault plan and its stream position, so a resumed faulty run
-/// continues the exact same injection schedule.
+/// plain run; serial or worker-pool (`workers`); fault-injected or not.
+/// All paths are bit-for-bit equivalent on the deterministic metrics;
+/// snapshots carry the fault plan and its stream position, so a resumed
+/// faulty run continues the exact same injection schedule.
 fn run_vertex<Q>(
     g: &Graph,
     programs: impl Fn() -> Vec<Q>,
@@ -624,40 +623,22 @@ where
     Q::Msg: Codec,
     Q::Output: Codec,
 {
-    let engine = Engine::new(g, config);
+    let engine = Engine::with_workers(g, config, workers);
     let mut store_err: Option<String> = None;
     let run = match (resumed, ckpt.and_then(|ck| ck.every)) {
         // restore the persisted round boundary, finish the run
-        (Some(snap), _) => match workers {
-            None => engine
-                .resume(programs(), &snap)
-                .map_err(|e| RunError::Checkpoint(format!("resume: {e}")))?,
-            Some(w) => threaded::resume_threaded(g, programs(), &snap, w)
-                .map_err(|e| RunError::Checkpoint(format!("resume: {e}")))?,
-        },
+        (Some(snap), _) => engine
+            .resume(programs(), &snap)
+            .map_err(|e| RunError::Checkpoint(format!("resume: {e}")))?,
         // fresh recoverable run: persist a snapshot every N rounds
         (None, Some(every)) => {
             let ck = ckpt.expect("every implies a checkpoint file");
-            match workers {
-                None => engine
-                    .run_checkpointed(programs(), plan, every, |s| ck.store(s, &mut store_err))?,
-                Some(w) => threaded::run_threaded_checkpointed(
-                    g,
-                    programs(),
-                    config,
-                    w,
-                    plan,
-                    every,
-                    |s| ck.store(s, &mut store_err),
-                )?,
-            }
+            engine.run_checkpointed(programs(), plan, every, |s| ck.store(s, &mut store_err))?
         }
         // plain run (with or without fault injection)
-        (None, None) => match (workers, plan) {
-            (None, None) => engine.run(programs())?,
-            (None, Some(p)) => engine.run_faulty(programs(), p)?,
-            (Some(w), None) => threaded::run_threaded(g, programs(), config, w)?,
-            (Some(w), Some(p)) => threaded::run_threaded_faulty(g, programs(), config, w, p)?,
+        (None, None) => match plan {
+            None => engine.run(programs())?,
+            Some(p) => engine.run_faulty(programs(), p)?,
         },
     };
     if let Some(msg) = store_err {
@@ -669,10 +650,10 @@ where
 /// Solve the scenario's problem on `g` with the scenario's algorithm and
 /// validate the outputs. `seed` is the scenario's derived seed (it also
 /// seeds the fault plan, if any); `ckpt` carries the snapshot file of a
-/// recoverable run. An active fault plan routes the trivial executors
-/// through the [`Redundant`] time-redundancy wrapper and the staged
-/// pipelines through their `*_faulty` entry points — the recovery
-/// contract every solver now honors.
+/// recoverable run. Every solver runs through its `*_faulty` entry
+/// point or, on the trivial executors, the [`Redundant`] time-redundancy
+/// wrapper — the recovery contract every solver honors. An inactive plan
+/// (no spec, or all rates zero) runs exactly like the fault-free solver.
 fn solve<P>(
     problem: &P,
     sc: &Scenario,
@@ -686,80 +667,55 @@ where
     P::Output: Codec,
 {
     let inputs = problem.trivial_inputs(g);
-    let plan = sc.faults.map(|f| f.plan(seed));
-    let active = plan.filter(|p| p.is_active());
+    let plan = sc.fault_plan(seed);
     let programs = || -> Vec<TrivialGreedy<P>> {
         g.nodes()
             .map(|v| TrivialGreedy::new(problem.clone(), inputs[v.index()].clone()))
             .collect()
     };
-    match sc.algo {
+    let (outputs, metrics) = match sc.algo {
         Algo::Trivial | Algo::TrivialThreaded(_) => {
-            let workers = match sc.algo {
-                Algo::TrivialThreaded(w) => Some(w),
-                _ => None,
-            };
             let resumed = match ckpt {
                 Some(ck) => ck.load()?,
                 None => None,
             };
-            let run = match &active {
-                // An active plan wraps every program in time redundancy —
-                // the same sizing and round cap `resilient::run_stage`
-                // applies to the staged pipelines, so the suite's degraded
+            let workers = sc.algo.workers();
+            let run = if plan.is_active() {
+                // Time redundancy sized the way `resilient::run_stage`
+                // sizes the staged pipelines, so the suite's degraded
                 // budgets gate this path too.
-                Some(p) => {
-                    let base = bounds::trivial_rounds(g);
-                    let s = redundancy_for(p, g.n(), base);
-                    let cap = Config {
-                        max_rounds: bounds::degraded_stage_rounds(base, s, p),
-                        ..Config::default()
-                    };
-                    let wrapped = || -> Vec<Redundant<TrivialGreedy<P>>> {
-                        programs()
-                            .into_iter()
-                            .map(|q| Redundant::new(q, s))
-                            .collect()
-                    };
-                    run_vertex(g, wrapped, cap, workers, Some(p), ckpt, resumed)?
-                }
-                None => run_vertex(
-                    g,
-                    programs,
-                    Config::default(),
-                    workers,
-                    plan.as_ref(),
-                    ckpt,
-                    resumed,
-                )?,
+                let base = bounds::trivial_rounds(g);
+                let (s, cap) = redundant_sizing(&plan, g.n(), base, Config::default());
+                let wrapped = || -> Vec<Redundant<TrivialGreedy<P>>> {
+                    programs()
+                        .into_iter()
+                        .map(|q| Redundant::new(q, s))
+                        .collect()
+                };
+                run_vertex(g, wrapped, cap, workers, Some(&plan), ckpt, resumed)?
+            } else {
+                run_vertex(g, programs, Config::default(), workers, None, ckpt, resumed)?
             };
-            let valid = problem.validate(g, &inputs, &run.outputs).is_ok();
-            Ok((ScenarioMetrics::from_metrics(&run.metrics), valid))
+            (run.outputs, ScenarioMetrics::from_metrics(&run.metrics))
         }
         Algo::Bm21 => {
-            let r = match &active {
-                Some(p) => bm21::solve_faulty(g, problem, &inputs, None, p, None)?,
-                None => bm21::solve(g, problem, &inputs, None)?,
-            };
-            let valid = problem.validate(g, &inputs, &r.outputs).is_ok();
-            Ok((ScenarioMetrics::from_composition(&r.composition), valid))
+            let r = bm21::solve_faulty(g, problem, &inputs, None, &plan, None)?;
+            (r.outputs, ScenarioMetrics::from_composition(&r.composition))
         }
         Algo::Theorem1 => {
-            let r = match &active {
-                Some(p) => theorem1::solve_with_inputs_faulty(
-                    g,
-                    problem,
-                    &inputs,
-                    Default::default(),
-                    p,
-                    None,
-                )?,
-                None => theorem1::solve_with_inputs(g, problem, &inputs, Default::default())?,
-            };
-            let valid = problem.validate(g, &inputs, &r.outputs).is_ok();
-            Ok((ScenarioMetrics::from_composition(&r.composition), valid))
+            let r = theorem1::solve_with_inputs_faulty(
+                g,
+                problem,
+                &inputs,
+                Default::default(),
+                &plan,
+                None,
+            )?;
+            (r.outputs, ScenarioMetrics::from_composition(&r.composition))
         }
-    }
+    };
+    let valid = problem.validate(g, &inputs, &outputs).is_ok();
+    Ok((metrics, valid))
 }
 
 /// Solve an edge-problem scenario through the line-graph virtualization
@@ -768,7 +724,7 @@ where
 /// adapter's host state is [`awake_sleeping::Persist`]-capable, but the
 /// suite keeps snapshot files to the vertex executors). Fault injection —
 /// crash-restarts included — rides the adapter through the
-/// [`Redundant`]-wrapped `solve_edges_faulty` entry points and is audited
+/// [`Redundant`]-wrapped `solve_edges_faulty` entry point and is audited
 /// against the degraded budgets.
 fn solve_edge<P>(
     problem: &P,
@@ -781,31 +737,22 @@ where
     P::Input: Clone,
     P::Output: awake_sleeping::Codec,
 {
+    if matches!(sc.algo, Algo::Bm21 | Algo::Theorem1) {
+        return Err(RunError::UnsupportedAlgo {
+            problem: problem.name(),
+            algo: sc.algo.key(),
+        });
+    }
     let inputs = problem.trivial_inputs(g);
-    let plan = sc.faults.map(|f| f.plan(seed));
-    let run = match (sc.algo, &plan) {
-        (Algo::Trivial, None) => linegraph::solve_edges(g, problem, &inputs, Config::default())?,
-        (Algo::Trivial, Some(p)) => {
-            linegraph::solve_edges_faulty(g, problem, &inputs, Config::default(), p)?
-        }
-        (Algo::TrivialThreaded(workers), None) => {
-            linegraph::solve_edges_threaded(g, problem, &inputs, Config::default(), workers)?
-        }
-        (Algo::TrivialThreaded(workers), Some(p)) => linegraph::solve_edges_threaded_faulty(
-            g,
-            problem,
-            &inputs,
-            Config::default(),
-            workers,
-            p,
-        )?,
-        (Algo::Bm21 | Algo::Theorem1, _) => {
-            return Err(RunError::UnsupportedAlgo {
-                problem: problem.name(),
-                algo: sc.algo.key(),
-            })
-        }
-    };
+    let plan = sc.fault_plan(seed);
+    let run = linegraph::solve_edges_faulty(
+        g,
+        problem,
+        &inputs,
+        Config::default(),
+        &plan,
+        sc.algo.workers(),
+    )?;
     let valid = problem.validate(g, &inputs, &run.outputs).is_ok();
     Ok((ScenarioMetrics::from_metrics(&run.metrics), valid))
 }
@@ -1141,6 +1088,48 @@ mod tests {
             .unwrap();
         assert_eq!(plain.canonical_json(), restored.canonical_json());
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn an_all_zero_fault_spec_writes_the_fault_free_snapshot() {
+        // A spec whose rates are all zero injects nothing: the run must
+        // take the fault-free path, so its snapshot carries no fault
+        // section and matches the `faults: None` scenario byte for byte.
+        let zero = FaultSpec {
+            drop_ppm: 0,
+            dup_ppm: 0,
+            delay_ppm: 0,
+            crash_ppm: 0,
+            ..rough()
+        };
+        let last_ckpt = |sc: Scenario, tag: &str| -> Vec<u8> {
+            let dir = scratch_dir(tag);
+            Runner::serial()
+                .run_recoverable("t", &[sc], 9, &dir, Some(2))
+                .unwrap();
+            let ckpts: Vec<_> = std::fs::read_dir(&dir)
+                .unwrap()
+                .filter_map(|e| e.ok())
+                .filter(|e| e.file_name().to_string_lossy().ends_with(".ckpt"))
+                .collect();
+            assert_eq!(ckpts.len(), 1, "{tag}: one snapshot file");
+            let bytes = std::fs::read(ckpts[0].path()).unwrap();
+            std::fs::remove_dir_all(&dir).unwrap();
+            bytes
+        };
+        let sc = || {
+            Scenario::of(
+                GraphFamily::Gnp { n: 24, p: 0.15 },
+                ProblemKind::Mis,
+                Algo::Trivial,
+            )
+        };
+        let plain = last_ckpt(sc().build(), "zero-none");
+        let zeroed = last_ckpt(sc().with_faults(zero).build(), "zero-spec");
+        assert!(
+            plain == zeroed,
+            "an all-zero spec changed the snapshot bytes"
+        );
     }
 
     #[test]

@@ -210,6 +210,15 @@ impl Algo {
             Algo::Theorem1 => "theorem1".into(),
         }
     }
+
+    /// The worker-pool size this solver runs on (`None`: the serial
+    /// engine).
+    pub(crate) fn workers(&self) -> Option<usize> {
+        match self {
+            Algo::TrivialThreaded(w) => Some(*w),
+            _ => None,
+        }
+    }
 }
 
 /// Seeded fault-injection rates attached to a scenario (all
@@ -298,6 +307,13 @@ impl Scenario {
     /// distinct families draw independent streams.
     pub fn seed(&self, suite_seed: u64) -> u64 {
         splitmix64(suite_seed ^ fnv1a(self.family.key().as_bytes()))
+    }
+
+    /// The fault plan a run with derived seed `seed` injects: the spec's
+    /// plan, or an inactive one when the scenario has no spec. Every
+    /// solver runs an inactive plan exactly like no plan.
+    pub(crate) fn fault_plan(&self, seed: u64) -> FaultPlan {
+        self.faults.map_or(FaultPlan::new(seed), |f| f.plan(seed))
     }
 }
 

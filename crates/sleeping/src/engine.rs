@@ -27,6 +27,7 @@ use crate::checkpoint::{
 use crate::faults::{DelayedMsg, FaultPlan, FaultState};
 use crate::metrics::Metrics;
 use crate::program::{Action, Outbox, Program, View};
+use crate::threaded::{run_threaded_core, ChaosPlan};
 use crate::trace::{TraceEvent, TraceMode, Tracer};
 use crate::wheel::WakeWheel;
 use crate::Round;
@@ -341,15 +342,16 @@ impl<'g, P: Program> SerialExec<'g, P> {
     }
 
     /// Reassemble an executor at the round boundary a snapshot captured.
-    /// `programs` are the snapshot's restored programs; everything else
-    /// comes from the decoded state (including the config the snapshot was
-    /// taken under, which wins over the resuming engine's — a resumed run
-    /// must behave like the uninterrupted one).
+    /// `programs` are the snapshot's restored programs and `faults` its
+    /// restored fault state; everything else comes from the decoded state
+    /// (including the config the snapshot was taken under, which wins over
+    /// the resuming engine's — a resumed run must behave like the
+    /// uninterrupted one).
     fn from_restored(
         graph: &'g Graph,
         programs: Vec<P>,
         rs: RestoredState<P::Msg, P::Output>,
-        crash_io: CrashIo<P>,
+        faults: Option<FaultCtx<P>>,
     ) -> Self {
         SerialExec {
             graph,
@@ -366,7 +368,7 @@ impl<'g, P: Program> SerialExec<'g, P> {
             outbox: Outbox::new(),
             arena: InboxArena::new(graph.n()),
             prev_round: rs.prev_round,
-            faults: rs.faults.map(|s| FaultCtx::from_state(s, crash_io)),
+            faults,
         }
     }
 
@@ -652,61 +654,201 @@ impl<'g, P: Program> SerialExec<'g, P> {
         }
     }
 
+    /// The plain round loop. Kept out of line: inlined into
+    /// [`Engine::run`] next to the worker-pool dispatch, it made the micro
+    /// bench's serial flood slower — speedup over the legacy stepper 1.54
+    /// against 2.04, medians of five alternating runs on a 2-vCPU guest.
+    #[inline(never)]
     fn run_out(mut self) -> Result<Run<P::Output>, SimError> {
         while self.step()? {}
         self.finish()
     }
+
+    /// Run to completion — or, under `ctl`, emit periodic snapshots and
+    /// pause into one at the pause bound.
+    fn drive(mut self, ctl: Option<CkptCtl<'_, P>>) -> Result<Paused<P::Output>, SimError> {
+        let Some(ctl) = ctl else {
+            return self.run_out().map(Paused::Done);
+        };
+        let mut last_emit = self.prev_round;
+        while let Some(next) = self.peek_next() {
+            // The boundary before `next`, so work is still pending: pause
+            // here, or emit a periodic snapshot.
+            let pause = ctl.pause_after.is_some_and(|bound| next > bound);
+            let emit = ctl
+                .every
+                .is_some_and(|every| self.prev_round >= last_emit.saturating_add(every));
+            if pause || emit {
+                let snap = (ctl.encode)(self.graph, self.config, self.state_ref());
+                if pause {
+                    return Ok(Paused::Snapshot(snap));
+                }
+                last_emit = self.prev_round;
+                (ctl.sink)(&snap);
+            }
+            self.step()?;
+        }
+        self.finish().map(Paused::Done)
+    }
 }
 
-/// The serial deterministic executor.
+/// How a run starts: fresh programs at round 1, or programs plus the
+/// decoded round-boundary state of a [`Snapshot`].
+pub(crate) enum Init<P: Program> {
+    Fresh(Vec<P>),
+    Restored {
+        programs: Vec<P>,
+        // boxed: RestoredState is a dozen Vecs wide, Fresh a single one
+        state: Box<RestoredState<P::Msg, P::Output>>,
+    },
+}
+
+/// Checkpoint control of one run: the pause bound and/or periodic emission
+/// interval, plus the monomorphized snapshot encoder as a function pointer
+/// — the executor cores themselves carry no [`Codec`] bounds (only the
+/// public [`Engine`] methods do, where `encode_snapshot::<P>` is
+/// instantiated).
+pub(crate) struct CkptCtl<'a, P: Program> {
+    /// Pause (into a returned snapshot) instead of executing any round
+    /// beyond this bound.
+    pub(crate) pause_after: Option<Round>,
+    /// Hand a snapshot to `sink` whenever at least this many rounds have
+    /// elapsed since the last one and more work is pending.
+    pub(crate) every: Option<Round>,
+    pub(crate) encode: for<'b> fn(&Graph, Config, EngineStateRef<'b, P>) -> Snapshot,
+    pub(crate) sink: &'a mut dyn FnMut(&Snapshot),
+}
+
+/// A run without a pause bound always completes.
+pub(crate) fn completed<O>(outcome: Paused<O>) -> Run<O> {
+    match outcome {
+        Paused::Done(run) => run,
+        Paused::Snapshot(_) => unreachable!("no pause bound was set"),
+    }
+}
+
+/// The deterministic executor: the serial round loop, or (built with
+/// [`Engine::with_workers`]) the worker-pool pipeline of the
+/// [`threaded`](crate::threaded) module. The choice is made once, here;
+/// every method dispatches on it and the two agree bit for bit —
+/// outputs, [`Metrics`], trace and snapshot bytes.
 ///
 /// See the [crate docs](crate) for a worked example.
 pub struct Engine<'g> {
     graph: &'g Graph,
     config: Config,
+    workers: Option<usize>,
+    /// Seed of a scheduler perturbation plan for the worker pool; see
+    /// [`Engine::with_chaos`].
+    #[cfg(test)]
+    chaos: Option<u64>,
 }
 
 impl<'g> Engine<'g> {
-    /// Create an engine over `graph`.
+    /// Create a serial engine over `graph`.
     pub fn new(graph: &'g Graph, config: Config) -> Self {
-        Engine { graph, config }
+        Engine::with_workers(graph, config, None)
+    }
+
+    /// Create an engine over `graph` that runs on a pool of `workers`
+    /// executors (`None`: the serial engine, like [`Engine::new`]). The
+    /// worker count changes how each round's awake set is chunked, never
+    /// an observable result.
+    pub fn with_workers(graph: &'g Graph, config: Config, workers: Option<usize>) -> Self {
+        Engine {
+            graph,
+            config,
+            workers,
+            #[cfg(test)]
+            chaos: None,
+        }
+    }
+
+    /// Perturb the worker pool's scheduling with a seeded plan — forced
+    /// steals, yields, naps and unpark storms at every claim point. The
+    /// perturbations reorder only *who executes what when*, never the
+    /// coordinator's chunk-order merges, so every run must stay bit-for-bit
+    /// identical to the serial engine. No effect on a serial engine.
+    #[cfg(test)]
+    pub(crate) fn with_chaos(mut self, seed: u64) -> Self {
+        self.chaos = Some(seed);
+        self
+    }
+
+    fn chaos(&self) -> Option<ChaosPlan> {
+        #[cfg(test)]
+        return self.chaos.map(|seed| ChaosPlan { seed });
+        #[cfg(not(test))]
+        None
+    }
+
+    /// The one dispatch point: run `init` on the serial loop or the
+    /// worker pool, with optional faults and checkpoint control.
+    fn start<P: Program + Send>(
+        &self,
+        init: Init<P>,
+        faults: Option<FaultCtx<P>>,
+        ctl: Option<CkptCtl<'_, P>>,
+    ) -> Result<Paused<P::Output>, SimError> {
+        if let Some(workers) = self.workers {
+            return run_threaded_core(
+                self.graph,
+                init,
+                self.config,
+                workers,
+                faults,
+                ctl,
+                None,
+                self.chaos(),
+            );
+        }
+        let exec = match init {
+            Init::Fresh(programs) => SerialExec::new(self.graph, self.config, programs, faults)?,
+            Init::Restored { programs, state } => {
+                SerialExec::from_restored(self.graph, programs, *state, faults)
+            }
+        };
+        exec.drive(ctl)
     }
 
     /// Execute `programs` (one per node, indexed by [`NodeId`]) to completion.
     ///
     /// # Errors
     /// Any [`SimError`]; see the variants for the contract each program must
-    /// uphold.
-    pub fn run<P: Program>(&self, programs: Vec<P>) -> Result<Run<P::Output>, SimError> {
-        SerialExec::new(self.graph, self.config, programs, None)?.run_out()
+    /// uphold. On the worker pool the error precedence is the serial one
+    /// (lowest node id first).
+    pub fn run<P: Program + Send>(&self, programs: Vec<P>) -> Result<Run<P::Output>, SimError> {
+        self.start(Init::Fresh(programs), None, None).map(completed)
     }
 
     /// Execute `programs` to completion under a seeded fault plan.
     ///
     /// Deterministic: the same plan yields the same outputs, `Metrics`,
-    /// and trace as the threaded executor under the same plan at any
-    /// worker count. Requires [`Persist`] because crash-restart saves and
-    /// restores per-node state through it.
+    /// and trace at any worker count. Requires [`Persist`] because
+    /// crash-restart saves and restores per-node state through it.
     ///
     /// # Errors
     /// Any [`SimError`], as [`run`](Engine::run).
-    pub fn run_faulty<P: Program + Persist>(
+    pub fn run_faulty<P: Program + Persist + Send>(
         &self,
         programs: Vec<P>,
         plan: &FaultPlan,
     ) -> Result<Run<P::Output>, SimError> {
         let faults = FaultCtx::new(*plan, CrashIo::<P>::of());
-        SerialExec::new(self.graph, self.config, programs, Some(faults))?.run_out()
+        self.start(Init::Fresh(programs), Some(faults), None)
+            .map(completed)
     }
 
     /// Run until the next pending round would exceed `pause_after`, then
     /// snapshot the paused state; completes normally if the run finishes
     /// first. Pass a fault plan to snapshot a fault-injected run (the
-    /// plan and its delayed-message buffer are part of the snapshot).
+    /// plan and its delayed-message buffer are part of the snapshot). The
+    /// snapshot is byte-identical at any worker count: between rounds all
+    /// observable state lives with the coordinator.
     ///
     /// # Errors
     /// Any [`SimError`] from the rounds executed before the pause.
-    pub fn snapshot_at<P: Program + Persist>(
+    pub fn snapshot_at<P: Program + Persist + Send>(
         &self,
         programs: Vec<P>,
         plan: Option<&FaultPlan>,
@@ -717,26 +859,18 @@ impl<'g> Engine<'g> {
         P::Output: Codec,
     {
         let faults = plan.map(|p| FaultCtx::new(*p, CrashIo::<P>::of()));
-        let mut exec = SerialExec::new(self.graph, self.config, programs, faults)?;
-        loop {
-            match exec.peek_next() {
-                None => return Ok(Paused::Done(exec.finish()?)),
-                Some(next) if next > pause_after => {
-                    return Ok(Paused::Snapshot(encode_snapshot(
-                        self.graph,
-                        self.config,
-                        exec.state_ref(),
-                    )));
-                }
-                Some(_) => {
-                    exec.step()?;
-                }
-            }
-        }
+        let ctl = CkptCtl {
+            pause_after: Some(pause_after),
+            every: None,
+            encode: encode_snapshot::<P>,
+            sink: &mut |_| {},
+        };
+        self.start(Init::Fresh(programs), faults, Some(ctl))
     }
 
     /// Continue a snapshotted run to completion, bit-for-bit identical to
-    /// the uninterrupted run (outputs, `Metrics`, trace).
+    /// the uninterrupted run (outputs, `Metrics`, trace) — whichever
+    /// executor or worker count wrote the snapshot.
     ///
     /// `programs` must be the *freshly constructed initial* programs of
     /// the original run (same inputs, same order) — [`Persist::restore`]
@@ -748,7 +882,7 @@ impl<'g> Engine<'g> {
     /// [`ResumeError::Checkpoint`] if the snapshot is corrupt, truncated,
     /// or from a different graph; [`ResumeError::Sim`] if the continued
     /// run fails.
-    pub fn resume<P: Program + Persist>(
+    pub fn resume<P: Program + Persist + Send>(
         &self,
         mut programs: Vec<P>,
         snapshot: &Snapshot,
@@ -764,23 +898,32 @@ impl<'g> Engine<'g> {
                 expected: n,
             }));
         }
-        let rs = decode_snapshot::<P>(self.graph, snapshot, &mut programs)?;
-        let exec = SerialExec::from_restored(self.graph, programs, rs, CrashIo::<P>::of());
-        exec.run_out().map_err(ResumeError::Sim)
+        let mut state = decode_snapshot::<P>(self.graph, snapshot, &mut programs)?;
+        let faults = state
+            .faults
+            .take()
+            .map(|s| FaultCtx::from_state(s, CrashIo::<P>::of()));
+        let init = Init::Restored {
+            programs,
+            state: Box::new(state),
+        };
+        self.start(init, faults, None)
+            .map(completed)
+            .map_err(ResumeError::Sim)
     }
 
     /// Run to completion, handing a snapshot to `sink` whenever at least
     /// `every` rounds have elapsed since the last one (no snapshot is
     /// taken once the run has finished — the final state is the returned
-    /// [`Run`]). Resuming from any emitted snapshot continues to the same
-    /// bit-for-bit result.
+    /// [`Run`]). Resuming from any emitted snapshot — at any worker
+    /// count — continues to the same bit-for-bit result.
     ///
     /// # Panics
     /// If `every` is zero.
     ///
     /// # Errors
     /// Any [`SimError`], as [`run`](Engine::run).
-    pub fn run_checkpointed<P: Program + Persist>(
+    pub fn run_checkpointed<P: Program + Persist + Send>(
         &self,
         programs: Vec<P>,
         plan: Option<&FaultPlan>,
@@ -793,15 +936,14 @@ impl<'g> Engine<'g> {
     {
         assert!(every > 0, "checkpoint interval must be at least 1 round");
         let faults = plan.map(|p| FaultCtx::new(*p, CrashIo::<P>::of()));
-        let mut exec = SerialExec::new(self.graph, self.config, programs, faults)?;
-        let mut last_emit: Round = 0;
-        while exec.step()? {
-            if exec.prev_round >= last_emit.saturating_add(every) && exec.peek_next().is_some() {
-                last_emit = exec.prev_round;
-                sink(&encode_snapshot(self.graph, self.config, exec.state_ref()));
-            }
-        }
-        exec.finish()
+        let ctl = CkptCtl {
+            pause_after: None,
+            every: Some(every),
+            encode: encode_snapshot::<P>,
+            sink: &mut sink,
+        };
+        self.start(Init::Fresh(programs), faults, Some(ctl))
+            .map(completed)
     }
 }
 

@@ -86,19 +86,21 @@
 //! queue at all: nodes staying awake ride a pre-sorted *stay lane* straight
 //! into the next round's awake set.
 //!
-//! Two executors share these mechanics: the serial [`Engine`] (the
-//! reference semantics) and [`threaded::run_threaded`] (a persistent worker
-//! pool over degree-weighted contiguous chunks of the awake set, with
-//! message routing and inbox construction running *inside* the workers
-//! through owner-sharded delivery buffers — see the [`threaded`] module
-//! docs for the pipeline). They are required to agree **bit for bit**,
-//! outputs and [`Metrics`] alike, for deterministic programs.
+//! Two executors share these mechanics, and [`Engine`] picks one when it
+//! is built: [`Engine::new`] is the serial round loop, and
+//! [`Engine::with_workers`] a persistent worker pool over degree-weighted
+//! contiguous chunks of the awake set, with message routing and inbox
+//! construction running *inside* the workers through owner-sharded
+//! delivery buffers (see the [`threaded`] module docs for the pipeline).
+//! Every `Engine` method dispatches on that choice, and the two are
+//! required to agree **bit for bit**, outputs and [`Metrics`] alike, for
+//! deterministic programs.
 //!
 //! # Checkpointing and fault injection
 //!
 //! Both executors can pause at any round boundary into a versioned binary
-//! [`Snapshot`] ([`Engine::snapshot_at`] / [`threaded::snapshot_at_threaded`])
-//! and resume it later — on either executor, at any worker count — to a run
+//! [`Snapshot`] ([`Engine::snapshot_at`]) and resume it later
+//! ([`Engine::resume`]) — on either executor, at any worker count — to a run
 //! bit-for-bit identical to the uninterrupted one; per-node program state
 //! travels through the [`Persist`] trait. A seeded [`FaultPlan`]
 //! deterministically drops, duplicates, and delays messages and

@@ -1,9 +1,13 @@
 //! A multi-threaded executor with an owner-sharded parallel delivery
 //! pipeline over a persistent worker pool.
 //!
-//! The serial [`Engine`](crate::Engine) is the reference implementation;
-//! this executor demonstrates that the [`Program`] abstraction maps onto
-//! real parallel hardware without giving up determinism: the two executors
+//! It has no entry points of its own: an engine built with
+//! [`Engine::with_workers`](crate::Engine::with_workers) runs every
+//! [`Engine`](crate::Engine) method — plain, faulty, snapshot, resume,
+//! checkpointed — on this pool, and [`run_threaded_timed`] adds per-phase
+//! timing. The serial engine is the reference implementation; this
+//! executor demonstrates that the [`Program`] abstraction maps onto real
+//! parallel hardware without giving up determinism: the two executors
 //! agree **bit for bit** — equal outputs *and* equal [`Metrics`] — which
 //! the integration tests assert at every worker count.
 //!
@@ -92,17 +96,18 @@
 //! (and [`Run::trace_dropped`]) is bit-identical to the serial engine's
 //! at any worker count.
 //!
-//! A seeded chaos hook (test-only) perturbs scheduling at every claim
-//! point — forced steals, yields, parks, unpark storms — and the
-//! equivalence tests assert bit-for-bit agreement under those
-//! interleavings too; see `ChaosPlan`.
+//! A seeded chaos hook (test-only, set with `Engine::with_chaos`) perturbs
+//! scheduling at every claim point — forced steals, yields, parks, unpark
+//! storms — and the equivalence tests assert bit-for-bit agreement under
+//! those interleavings too; see `ChaosPlan`.
 
 use crate::arena::ChunkInboxes;
 use crate::checkpoint::{
-    decode_snapshot, encode_snapshot, rebuild_wheel, Codec, CrashIo, EngineStateRef, Paused,
-    Persist, ProgramsRef, Reader, RestoredState, ResumeError, Snapshot, Writer,
+    rebuild_wheel, CrashIo, EngineStateRef, Paused, ProgramsRef, Reader, Snapshot, Writer,
 };
-use crate::engine::{next_awake_set, route_entries, seed_schedule, FaultCtx, NEVER};
+use crate::engine::{
+    completed, next_awake_set, route_entries, seed_schedule, CkptCtl, FaultCtx, Init, NEVER,
+};
 use crate::faults::{DelayedMsg, FaultKind, FaultPlan};
 use crate::metrics::{Metrics, PhaseTimes};
 use crate::program::{Action, Envelope, OutEntry, Outbox, Program, View};
@@ -1234,39 +1239,6 @@ fn worker_loop<P: Program>(pool: &StealPool<'_, P>, who: usize) {
     }
 }
 
-/// How a threaded run starts: fresh programs at round 1, or programs plus
-/// the decoded round-boundary state of a [`Snapshot`].
-enum ThreadedInit<P: Program> {
-    Fresh(Vec<P>),
-    Restored {
-        programs: Vec<P>,
-        // boxed: RestoredState is a dozen Vecs wide, Fresh a single one
-        state: Box<RestoredState<P::Msg, P::Output>>,
-    },
-}
-
-/// What the core produced: a completed [`Run`], or the snapshot the run
-/// paused into at its `pause_after` bound.
-enum ThreadedOutcome<O> {
-    Done(Run<O>),
-    Paused(Snapshot),
-}
-
-/// Checkpoint control of one run: the pause bound and/or periodic emission
-/// interval, plus the monomorphized snapshot encoder as a function pointer
-/// — the executor core itself carries no [`Codec`] bounds (only the public
-/// wrappers do, where `encode_snapshot::<P>` is instantiated).
-struct CkptCtl<'a, P: Program> {
-    /// Pause (into a returned snapshot) instead of executing any round
-    /// beyond this bound.
-    pause_after: Option<Round>,
-    /// Hand a snapshot to `sink` whenever at least this many rounds have
-    /// elapsed since the last one and more work is pending.
-    every: Option<Round>,
-    encode: for<'b> fn(&Graph, Config, EngineStateRef<'b, P>) -> Snapshot,
-    sink: &'a mut dyn FnMut(&Snapshot),
-}
-
 /// Advance the per-round timing stamp: add the elapsed time to the
 /// accumulator `pick` selects and re-stamp. When timing is off the stamp
 /// is `None` and no clock is read at all.
@@ -1279,37 +1251,38 @@ fn lap(stamp: &mut Option<(&mut PhaseTimes, Instant)>, pick: fn(&mut PhaseTimes)
     }
 }
 
-/// The shared executor core behind [`run_threaded`] and its fault-aware /
-/// checkpoint-aware variants: a persistent executor pool (the coordinator
-/// plus `workers - 1` spawned threads) driven round by round from a fresh
-/// or restored boundary, with optional seeded fault injection, optional
-/// snapshotting at round boundaries, optional per-phase timing, and an
-/// optional (test-only) chaos plan perturbing the claim scheduling. All
-/// observable state lives coordinator-side between rounds, which is
-/// exactly what a [`Snapshot`] captures — byte-identical to the serial
-/// engine's at the same boundary.
-// One argument per optional capability; a builder would obscure that the
-// public entry points each enable exactly one of them.
+/// The worker-pool executor behind
+/// [`Engine::with_workers`](crate::Engine::with_workers): a
+/// persistent executor pool (the coordinator plus `workers - 1` spawned
+/// threads) driven round by round from a fresh or restored boundary, with
+/// optional seeded fault injection, optional snapshotting at round
+/// boundaries, optional per-phase timing, and an optional (test-only)
+/// chaos plan perturbing the claim scheduling. A restored run keeps the
+/// snapshot's config, like the serial engine. All observable state lives
+/// coordinator-side between rounds, which is exactly what a [`Snapshot`]
+/// captures — byte-identical to the serial engine's at the same boundary.
+// One argument per optional capability.
 #[allow(clippy::too_many_arguments)]
-fn run_threaded_core<P>(
+pub(crate) fn run_threaded_core<P>(
     graph: &Graph,
-    init: ThreadedInit<P>,
+    init: Init<P>,
     config: Config,
     workers: usize,
     mut faults: Option<FaultCtx<P>>,
     mut ctl: Option<CkptCtl<'_, P>>,
     mut timing: Option<&mut PhaseTimes>,
     chaos: Option<ChaosPlan>,
-) -> Result<ThreadedOutcome<P::Output>, SimError>
+) -> Result<Paused<P::Output>, SimError>
 where
     P: Program + Send,
 {
     let n = graph.n();
     let workers = workers.max(1);
     let (programs, restored) = match init {
-        ThreadedInit::Fresh(p) => (p, None),
-        ThreadedInit::Restored { programs, state } => (programs, Some(*state)),
+        Init::Fresh(p) => (p, None),
+        Init::Restored { programs, state } => (programs, Some(*state)),
     };
+    let config = restored.as_ref().map_or(config, |rs| rs.config);
     if programs.len() != n {
         return Err(SimError::ProgramCountMismatch {
             got: programs.len(),
@@ -1348,7 +1321,7 @@ where
     }
     let trace_on = tracer.enabled();
     if n == 0 {
-        return Ok(ThreadedOutcome::Done(Run {
+        return Ok(Paused::Done(Run {
             outputs: vec![],
             metrics,
             trace: tracer.events,
@@ -1427,8 +1400,15 @@ where
                     wheel.peek_min()
                 };
                 let Some(round) = next else { break };
+                // Snapshots happen here, at the boundary before `round`: the
+                // pause bound, or a periodic emission while work is pending
+                // (the final state is the returned run, never a snapshot).
                 if let Some(c) = ctl.as_mut() {
-                    if c.pause_after.is_some_and(|bound| round > bound) {
+                    let pause = c.pause_after.is_some_and(|bound| round > bound);
+                    let emit = c
+                        .every
+                        .is_some_and(|every| prev_round >= last_emit.saturating_add(every));
+                    if pause || emit {
                         let ctx = pool.ctx.read().expect("round context lock");
                         let st = EngineStateRef {
                             prev_round,
@@ -1441,7 +1421,12 @@ where
                             tracer: &tracer,
                             faults: faults.as_ref().map(|f| &f.state),
                         };
-                        return Ok(Some((c.encode)(graph, config, st)));
+                        let snap = (c.encode)(graph, config, st);
+                        if pause {
+                            return Ok(Some(snap));
+                        }
+                        last_emit = prev_round;
+                        (c.sink)(&snap);
                     }
                 }
                 // Per-round timing stamp; partition covers pop → publish.
@@ -1682,32 +1667,6 @@ where
                         t.dispatched_rounds += 1;
                     }
                 }
-
-                // Periodic snapshots, at this round's boundary, only while
-                // more work is pending — the final state is the returned run.
-                if let Some(c) = ctl.as_mut() {
-                    if let Some(every) = c.every {
-                        if prev_round >= last_emit.saturating_add(every)
-                            && (!stay.is_empty() || wheel.peek_min().is_some())
-                        {
-                            last_emit = prev_round;
-                            let ctx = pool.ctx.read().expect("round context lock");
-                            let st = EngineStateRef {
-                                prev_round,
-                                next_wake: &ctx.next_wake,
-                                stay: &stay,
-                                wheel_events: wheel.pending_events(),
-                                outputs: &outputs,
-                                programs: ProgramsRef::Slots(&slots),
-                                metrics: &metrics,
-                                tracer: &tracer,
-                                faults: faults.as_ref().map(|f| &f.state),
-                            };
-                            let snap = (c.encode)(graph, config, st);
-                            (c.sink)(&snap);
-                        }
-                    }
-                }
             }
             Ok(None)
         })();
@@ -1718,7 +1677,7 @@ where
         out
     });
     if let Some(snapshot) = result? {
-        return Ok(ThreadedOutcome::Paused(snapshot));
+        return Ok(Paused::Snapshot(snapshot));
     }
 
     // Still-buffered delayed messages never found an executed due round
@@ -1738,7 +1697,7 @@ where
         .enumerate()
         .map(|(v, o)| o.ok_or(SimError::MissingOutput(NodeId(v as u32))))
         .collect::<Result<Vec<_>, _>>()?;
-    Ok(ThreadedOutcome::Done(Run {
+    Ok(Paused::Done(Run {
         outputs,
         metrics,
         trace: tracer.events,
@@ -1746,49 +1705,16 @@ where
     }))
 }
 
-/// Run `programs` on `graph` using `workers` threads.
-///
-/// Semantics are identical to [`Engine::run`](crate::Engine::run); programs
-/// must be deterministic for the executors to agree. The worker count does
-/// not affect any observable result — it only changes how the awake set is
-/// chunked.
-///
-/// # Errors
-/// Same contract as the serial engine ([`SimError`]), with the serial
-/// engine's error precedence (lowest node id first).
-pub fn run_threaded<P>(
-    graph: &Graph,
-    programs: Vec<P>,
-    config: Config,
-    workers: usize,
-) -> Result<Run<P::Output>, SimError>
-where
-    P: Program + Send,
-{
-    match run_threaded_core(
-        graph,
-        ThreadedInit::Fresh(programs),
-        config,
-        workers,
-        None,
-        None,
-        None,
-        None,
-    )? {
-        ThreadedOutcome::Done(run) => Ok(run),
-        ThreadedOutcome::Paused(_) => unreachable!("no pause bound was set"),
-    }
-}
-
-/// Run `programs` on `workers` threads, accumulating per-phase wall time
-/// into `timing` ([`PhaseTimes`]) — partition / route / deliver / merge
-/// for dispatched rounds, a single bucket for inline rounds. The timing
-/// probe reads the clock only between pipeline stages on the coordinator,
-/// so the run itself (outputs, [`Metrics`], trace) is
-/// bit-for-bit the same as [`run_threaded`].
+/// Run `programs` on a pool of `workers` executors, accumulating
+/// per-phase wall time into `timing` ([`PhaseTimes`]) — partition / route
+/// / deliver / merge for dispatched rounds, a single bucket for inline
+/// rounds. The timing probe reads the clock only between pipeline stages
+/// on the coordinator, so the run itself (outputs, [`Metrics`], trace) is
+/// bit-for-bit the same as [`Engine::run`](crate::Engine::run) on
+/// `Engine::with_workers(graph, config, Some(workers))`.
 ///
 /// # Errors
-/// Same contract as [`run_threaded`].
+/// Same contract as [`Engine::run`](crate::Engine::run).
 pub fn run_threaded_timed<P>(
     graph: &Graph,
     programs: Vec<P>,
@@ -1799,309 +1725,23 @@ pub fn run_threaded_timed<P>(
 where
     P: Program + Send,
 {
-    match run_threaded_core(
+    run_threaded_core(
         graph,
-        ThreadedInit::Fresh(programs),
+        Init::Fresh(programs),
         config,
         workers,
         None,
         None,
         Some(timing),
         None,
-    )? {
-        ThreadedOutcome::Done(run) => Ok(run),
-        ThreadedOutcome::Paused(_) => unreachable!("no pause bound was set"),
-    }
-}
-
-/// Run `programs` under a seeded fault plan using `workers` threads.
-///
-/// Bit-for-bit identical to
-/// [`Engine::run_faulty`](crate::Engine::run_faulty) under the same plan,
-/// at any worker count.
-///
-/// # Errors
-/// Same contract as [`run_threaded`].
-pub fn run_threaded_faulty<P>(
-    graph: &Graph,
-    programs: Vec<P>,
-    config: Config,
-    workers: usize,
-    plan: &FaultPlan,
-) -> Result<Run<P::Output>, SimError>
-where
-    P: Program + Persist + Send,
-{
-    let faults = FaultCtx::new(*plan, CrashIo::<P>::of());
-    match run_threaded_core(
-        graph,
-        ThreadedInit::Fresh(programs),
-        config,
-        workers,
-        Some(faults),
-        None,
-        None,
-        None,
-    )? {
-        ThreadedOutcome::Done(run) => Ok(run),
-        ThreadedOutcome::Paused(_) => unreachable!("no pause bound was set"),
-    }
-}
-
-/// Run until the next pending round would exceed `pause_after`, then
-/// snapshot the paused state; completes normally if the run finishes
-/// first. The snapshot is **byte-identical** to the serial
-/// [`Engine::snapshot_at`](crate::Engine::snapshot_at) at the same bound —
-/// between rounds all observable state lives with the coordinator, so the
-/// worker count leaves no residue in the image.
-///
-/// # Errors
-/// Any [`SimError`] from the rounds executed before the pause.
-pub fn snapshot_at_threaded<P>(
-    graph: &Graph,
-    programs: Vec<P>,
-    config: Config,
-    workers: usize,
-    plan: Option<&FaultPlan>,
-    pause_after: Round,
-) -> Result<Paused<P::Output>, SimError>
-where
-    P: Program + Persist + Send,
-    P::Msg: Codec,
-    P::Output: Codec,
-{
-    let faults = plan.map(|p| FaultCtx::new(*p, CrashIo::<P>::of()));
-    let mut sink = |_: &Snapshot| {};
-    let ctl = CkptCtl {
-        pause_after: Some(pause_after),
-        every: None,
-        encode: encode_snapshot::<P>,
-        sink: &mut sink,
-    };
-    match run_threaded_core(
-        graph,
-        ThreadedInit::Fresh(programs),
-        config,
-        workers,
-        faults,
-        Some(ctl),
-        None,
-        None,
-    )? {
-        ThreadedOutcome::Done(run) => Ok(Paused::Done(run)),
-        ThreadedOutcome::Paused(snapshot) => Ok(Paused::Snapshot(snapshot)),
-    }
-}
-
-/// Continue a snapshotted run to completion on the threaded executor,
-/// bit-for-bit identical to the uninterrupted run (outputs, `Metrics`,
-/// trace) — regardless of which executor or worker count produced the
-/// snapshot. `programs` must be the same *initial* programs the original
-/// run started from; their dynamic state is overwritten from the snapshot.
-///
-/// # Errors
-/// [`ResumeError::Checkpoint`] if the snapshot is corrupt or does not
-/// match `graph`; [`ResumeError::Sim`] for simulation errors after the
-/// restore.
-pub fn resume_threaded<P>(
-    graph: &Graph,
-    mut programs: Vec<P>,
-    snapshot: &Snapshot,
-    workers: usize,
-) -> Result<Run<P::Output>, ResumeError>
-where
-    P: Program + Persist + Send,
-    P::Msg: Codec,
-    P::Output: Codec,
-{
-    let n = graph.n();
-    if programs.len() != n {
-        return Err(ResumeError::Sim(SimError::ProgramCountMismatch {
-            got: programs.len(),
-            expected: n,
-        }));
-    }
-    let mut state = decode_snapshot::<P>(graph, snapshot, &mut programs)?;
-    let config = state.config;
-    let faults = state
-        .faults
-        .take()
-        .map(|s| FaultCtx::from_state(s, CrashIo::<P>::of()));
-    match run_threaded_core(
-        graph,
-        ThreadedInit::Restored {
-            programs,
-            state: Box::new(state),
-        },
-        config,
-        workers,
-        faults,
-        None,
-        None,
-        None,
     )
-    .map_err(ResumeError::Sim)?
-    {
-        ThreadedOutcome::Done(run) => Ok(run),
-        ThreadedOutcome::Paused(_) => unreachable!("no pause bound was set"),
-    }
-}
-
-/// Run to completion on `workers` threads, handing a snapshot to `sink`
-/// whenever at least `every` rounds have elapsed since the last one (none
-/// once the run has finished — the final state is the returned [`Run`]).
-/// Resuming from any emitted snapshot — on either executor — continues to
-/// the same bit-for-bit result.
-///
-/// # Panics
-/// If `every` is zero.
-///
-/// # Errors
-/// Same contract as [`run_threaded`].
-pub fn run_threaded_checkpointed<P>(
-    graph: &Graph,
-    programs: Vec<P>,
-    config: Config,
-    workers: usize,
-    plan: Option<&FaultPlan>,
-    every: Round,
-    mut sink: impl FnMut(&Snapshot),
-) -> Result<Run<P::Output>, SimError>
-where
-    P: Program + Persist + Send,
-    P::Msg: Codec,
-    P::Output: Codec,
-{
-    assert!(every > 0, "checkpoint interval must be at least 1 round");
-    let faults = plan.map(|p| FaultCtx::new(*p, CrashIo::<P>::of()));
-    let ctl = CkptCtl {
-        pause_after: None,
-        every: Some(every),
-        encode: encode_snapshot::<P>,
-        sink: &mut sink,
-    };
-    match run_threaded_core(
-        graph,
-        ThreadedInit::Fresh(programs),
-        config,
-        workers,
-        faults,
-        Some(ctl),
-        None,
-        None,
-    )? {
-        ThreadedOutcome::Done(run) => Ok(run),
-        ThreadedOutcome::Paused(_) => unreachable!("no pause bound was set"),
-    }
-}
-
-/// Test-only entry points that thread a seeded [`ChaosPlan`] through the
-/// executor: every claim scan, publish, and drain may be perturbed with
-/// forced steals, yields, naps, and unpark storms at plan-seeded points.
-/// The perturbations reorder only *who executes what when* — never the
-/// coordinator's chunk-order merges — so every run must stay bit-for-bit
-/// identical to the serial engine. Used by the chaos-interleaving stress
-/// tests here and in `checkpoint`.
-#[cfg(test)]
-pub(crate) fn run_threaded_chaos<P>(
-    graph: &Graph,
-    programs: Vec<P>,
-    config: Config,
-    workers: usize,
-    seed: u64,
-) -> Result<Run<P::Output>, SimError>
-where
-    P: Program + Send,
-{
-    match run_threaded_core(
-        graph,
-        ThreadedInit::Fresh(programs),
-        config,
-        workers,
-        None,
-        None,
-        None,
-        Some(ChaosPlan { seed }),
-    )? {
-        ThreadedOutcome::Done(run) => Ok(run),
-        ThreadedOutcome::Paused(_) => unreachable!("no pause bound was set"),
-    }
-}
-
-/// Chaos variant of [`run_threaded_faulty`] — see [`run_threaded_chaos`].
-#[cfg(test)]
-pub(crate) fn run_threaded_faulty_chaos<P>(
-    graph: &Graph,
-    programs: Vec<P>,
-    config: Config,
-    workers: usize,
-    plan: &FaultPlan,
-    seed: u64,
-) -> Result<Run<P::Output>, SimError>
-where
-    P: Program + Persist + Send,
-{
-    let faults = FaultCtx::new(*plan, CrashIo::<P>::of());
-    match run_threaded_core(
-        graph,
-        ThreadedInit::Fresh(programs),
-        config,
-        workers,
-        Some(faults),
-        None,
-        None,
-        Some(ChaosPlan { seed }),
-    )? {
-        ThreadedOutcome::Done(run) => Ok(run),
-        ThreadedOutcome::Paused(_) => unreachable!("no pause bound was set"),
-    }
-}
-
-/// Chaos variant of [`snapshot_at_threaded`] — see [`run_threaded_chaos`].
-/// Snapshot bytes must also be unperturbed: rounds quiesce before every
-/// boundary, chaos or not.
-#[cfg(test)]
-pub(crate) fn snapshot_at_threaded_chaos<P>(
-    graph: &Graph,
-    programs: Vec<P>,
-    config: Config,
-    workers: usize,
-    plan: Option<&FaultPlan>,
-    pause_after: Round,
-    seed: u64,
-) -> Result<Paused<P::Output>, SimError>
-where
-    P: Program + Persist + Send,
-    P::Msg: Codec,
-    P::Output: Codec,
-{
-    let faults = plan.map(|p| FaultCtx::new(*p, CrashIo::<P>::of()));
-    let mut sink = |_: &Snapshot| {};
-    let ctl = CkptCtl {
-        pause_after: Some(pause_after),
-        every: None,
-        encode: encode_snapshot::<P>,
-        sink: &mut sink,
-    };
-    match run_threaded_core(
-        graph,
-        ThreadedInit::Fresh(programs),
-        config,
-        workers,
-        faults,
-        Some(ctl),
-        None,
-        Some(ChaosPlan { seed }),
-    )? {
-        ThreadedOutcome::Done(run) => Ok(Paused::Done(run)),
-        ThreadedOutcome::Paused(snapshot) => Ok(Paused::Snapshot(snapshot)),
-    }
+    .map(completed)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Outbox;
+    use crate::{Engine, Outbox, Persist};
     use awake_graphs::generators;
 
     /// Flood the maximum ident seen so far for `n` rounds, then halt.
@@ -2138,9 +1778,11 @@ mod tests {
         P: Program + Send,
         P::Output: PartialEq,
     {
-        let serial = crate::Engine::new(g, Config::default()).run(mk()).unwrap();
+        let serial = Engine::new(g, Config::default()).run(mk()).unwrap();
         for &w in workers {
-            let par = run_threaded(g, mk(), Config::default(), w).unwrap();
+            let par = Engine::with_workers(g, Config::default(), Some(w))
+                .run(mk())
+                .unwrap();
             assert!(serial.outputs == par.outputs, "outputs, workers = {w}");
             assert_eq!(serial.metrics, par.metrics, "metrics, workers = {w}");
         }
@@ -2152,9 +1794,9 @@ mod tests {
             trace: crate::TraceMode::Capped(500),
             ..Config::default()
         };
-        let serial = crate::Engine::new(g, cfg).run(mk()).unwrap();
+        let serial = Engine::new(g, cfg).run(mk()).unwrap();
         for &w in workers {
-            let par = run_threaded(g, mk(), cfg, w).unwrap();
+            let par = Engine::with_workers(g, cfg, Some(w)).run(mk()).unwrap();
             assert_eq!(serial.trace, par.trace, "trace, workers = {w}");
             assert_eq!(
                 serial.trace_dropped, par.trace_dropped,
@@ -2177,7 +1819,9 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_bitwise_equal(&g, mk, &[1, 2, 4, 8]);
-        let run = run_threaded(&g, mk(), Config::default(), 4).unwrap();
+        let run = Engine::with_workers(&g, Config::default(), Some(4))
+            .run(mk())
+            .unwrap();
         // everyone learned the max ident (tree has diameter < 170 rounds)
         assert!(run.outputs.iter().all(|&b| b == 160));
     }
@@ -2188,7 +1832,9 @@ mod tests {
         let progs = (0..6)
             .map(|_| FloodMax { best: 0, rounds: 3 })
             .collect::<Vec<_>>();
-        let run = run_threaded(&g, progs, Config::default(), 1).unwrap();
+        let run = Engine::with_workers(&g, Config::default(), Some(1))
+            .run(progs)
+            .unwrap();
         assert_eq!(run.metrics.rounds, 3);
     }
 
@@ -2199,7 +1845,9 @@ mod tests {
         let progs = (0..3)
             .map(|_| FloodMax { best: 0, rounds: 3 })
             .collect::<Vec<_>>();
-        let run = run_threaded(&g, progs, Config::default(), 16).unwrap();
+        let run = Engine::with_workers(&g, Config::default(), Some(16))
+            .run(progs)
+            .unwrap();
         assert_eq!(run.outputs, vec![3, 3, 3]);
     }
 
@@ -2215,7 +1863,9 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_bitwise_equal(&g, mk, &[32]);
-        let run = run_threaded(&g, mk(), Config::default(), 32).unwrap();
+        let run = Engine::with_workers(&g, Config::default(), Some(32))
+            .run(mk())
+            .unwrap();
         assert!(run.outputs.iter().all(|&b| b == 20));
     }
 
@@ -2228,7 +1878,9 @@ mod tests {
                 rounds: 100,
             })
             .collect::<Vec<_>>();
-        let err = run_threaded(&g, progs, Config::with_max_rounds(5), 2).unwrap_err();
+        let err = Engine::with_workers(&g, Config::with_max_rounds(5), Some(2))
+            .run(progs)
+            .unwrap_err();
         assert_eq!(err, SimError::RoundBudgetExceeded { limit: 5 });
     }
 
@@ -2314,7 +1966,9 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_bitwise_equal(&g, mk, &[1, 2, 4, 8]);
-        let run = run_threaded(&g, mk(), Config::default(), 8).unwrap();
+        let run = Engine::with_workers(&g, Config::default(), Some(8))
+            .run(mk())
+            .unwrap();
         // round 1: hub hears all 5 leaves; rounds 2..=5: hub is alone and
         // its broadcasts are lost to the halted leaves.
         assert_eq!(run.outputs[0], 5);
@@ -2360,7 +2014,9 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_bitwise_equal(&g, mk, &[1, 2, 4, 8]);
-        let run = run_threaded(&g, mk(), Config::default(), 4).unwrap();
+        let run = Engine::with_workers(&g, Config::default(), Some(4))
+            .run(mk())
+            .unwrap();
         assert_eq!(run.metrics.rounds, 1_000_000_000);
         assert_eq!(run.metrics.awake, vec![1; 6]);
         // each pair only hears its partner (outer neighbors sleep)
@@ -2422,8 +2078,10 @@ mod tests {
         let g = generators::path(200);
         for workers in [1, 2, 4, 8] {
             let progs: Vec<BadSendAt> = (0..200).map(|v| BadSendAt { bad: v >= 3 }).collect();
-            let err = run_threaded(&g, progs, Config::default(), workers).unwrap_err();
-            let serial_err = crate::Engine::new(&g, Config::default())
+            let err = Engine::with_workers(&g, Config::default(), Some(workers))
+                .run(progs)
+                .unwrap_err();
+            let serial_err = Engine::new(&g, Config::default())
                 .run((0..200).map(|v| BadSendAt { bad: v >= 3 }).collect())
                 .unwrap_err();
             assert_eq!(err, serial_err, "workers = {workers}");
@@ -2466,7 +2124,9 @@ mod tests {
             let progs: Vec<SleepsBackward> = (0..150)
                 .map(|v| SleepsBackward { offender: v >= 4 })
                 .collect();
-            let err = run_threaded(&g, progs, Config::default(), workers).unwrap_err();
+            let err = Engine::with_workers(&g, Config::default(), Some(workers))
+                .run(progs)
+                .unwrap_err();
             assert_eq!(
                 err,
                 SimError::InvalidSleep {
@@ -2495,10 +2155,13 @@ mod tests {
                 })
                 .collect::<Vec<_>>()
         };
-        let serial = crate::Engine::new(&g, Config::default()).run(mk()).unwrap();
+        let serial = Engine::new(&g, Config::default()).run(mk()).unwrap();
         for seed in 1u64..=8 {
             for workers in [2, 4, 8] {
-                let par = run_threaded_chaos(&g, mk(), Config::default(), workers, seed).unwrap();
+                let par = Engine::with_workers(&g, Config::default(), Some(workers))
+                    .with_chaos(seed)
+                    .run(mk())
+                    .unwrap();
                 assert!(
                     serial.outputs == par.outputs,
                     "outputs, seed = {seed}, workers = {workers}"
@@ -2514,10 +2177,13 @@ mod tests {
             trace: crate::TraceMode::Capped(500),
             ..Config::default()
         };
-        let serial = crate::Engine::new(&g, cfg).run(mk()).unwrap();
+        let serial = Engine::new(&g, cfg).run(mk()).unwrap();
         for seed in [9u64, 10] {
             for workers in [2, 8] {
-                let par = run_threaded_chaos(&g, mk(), cfg, workers, seed).unwrap();
+                let par = Engine::with_workers(&g, cfg, Some(workers))
+                    .with_chaos(seed)
+                    .run(mk())
+                    .unwrap();
                 assert_eq!(
                     serial.trace, par.trace,
                     "trace, seed = {seed}, workers = {workers}"
@@ -2538,7 +2204,10 @@ mod tests {
         let g = generators::path(200);
         for seed in 11u64..=13 {
             let progs: Vec<BadSendAt> = (0..200).map(|v| BadSendAt { bad: v >= 3 }).collect();
-            let err = run_threaded_chaos(&g, progs, Config::default(), 4, seed).unwrap_err();
+            let err = Engine::with_workers(&g, Config::default(), Some(4))
+                .with_chaos(seed)
+                .run(progs)
+                .unwrap_err();
             assert_eq!(
                 err,
                 SimError::NotANeighbor {
@@ -2581,14 +2250,15 @@ mod tests {
                 })
                 .collect::<Vec<_>>()
         };
-        let serial = crate::Engine::new(&g, Config::default())
+        let serial = Engine::new(&g, Config::default())
             .run_faulty(mk(), &plan)
             .unwrap();
         for seed in 21u64..=23 {
             for workers in [2, 4] {
-                let par =
-                    run_threaded_faulty_chaos(&g, mk(), Config::default(), workers, &plan, seed)
-                        .unwrap();
+                let par = Engine::with_workers(&g, Config::default(), Some(workers))
+                    .with_chaos(seed)
+                    .run_faulty(mk(), &plan)
+                    .unwrap();
                 assert!(
                     serial.outputs == par.outputs,
                     "outputs, seed = {seed}, workers = {workers}"
@@ -2616,8 +2286,8 @@ mod tests {
                 })
                 .collect::<Vec<_>>()
         };
-        let serial_full = crate::Engine::new(&g, Config::default()).run(mk()).unwrap();
-        let want = match crate::Engine::new(&g, Config::default())
+        let serial_full = Engine::new(&g, Config::default()).run(mk()).unwrap();
+        let want = match Engine::new(&g, Config::default())
             .snapshot_at(mk(), None, 20)
             .unwrap()
         {
@@ -2626,16 +2296,10 @@ mod tests {
         };
         for seed in 31u64..=33 {
             for workers in [2, 4] {
-                let got = match snapshot_at_threaded_chaos(
-                    &g,
-                    mk(),
-                    Config::default(),
-                    workers,
-                    None,
-                    20,
-                    seed,
-                )
-                .unwrap()
+                let got = match Engine::with_workers(&g, Config::default(), Some(workers))
+                    .with_chaos(seed)
+                    .snapshot_at(mk(), None, 20)
+                    .unwrap()
                 {
                     Paused::Snapshot(s) => s,
                     Paused::Done(_) => panic!("run finished before the pause"),
@@ -2645,7 +2309,9 @@ mod tests {
                     "snapshot bytes, seed = {seed}, workers = {workers}"
                 );
                 // And the chaotic pause resumes to the uninterrupted run.
-                let resumed = resume_threaded(&g, mk(), &got, workers).unwrap();
+                let resumed = Engine::with_workers(&g, Config::default(), Some(workers))
+                    .resume(mk(), &got)
+                    .unwrap();
                 assert!(resumed.outputs == serial_full.outputs, "resumed outputs");
                 assert_eq!(resumed.metrics, serial_full.metrics, "resumed metrics");
             }
@@ -2665,7 +2331,7 @@ mod tests {
                 })
                 .collect::<Vec<_>>()
         };
-        let serial = crate::Engine::new(&g, Config::default()).run(mk()).unwrap();
+        let serial = Engine::new(&g, Config::default()).run(mk()).unwrap();
         let mut t = PhaseTimes::default();
         let run = run_threaded_timed(&g, mk(), Config::default(), 4, &mut t).unwrap();
         assert_eq!(serial.metrics, run.metrics);

@@ -15,9 +15,6 @@
 
 use awake_graphs::{generators, Graph, NodeId};
 use awake_sleeping::checkpoint::{Paused, Persist, Reader, Snapshot, Writer};
-use awake_sleeping::threaded::{
-    resume_threaded, run_threaded, run_threaded_faulty, snapshot_at_threaded,
-};
 use awake_sleeping::{
     Action, Config, Engine, Envelope, FaultKind, FaultPlan, Metrics, Outbox, Program, Run,
     TraceEvent, TraceMode, View,
@@ -472,7 +469,9 @@ fn compressed_executors_match_the_reference_stepper() {
         assert_eq!(got.metrics.awake_events, got.metrics.total_awake());
 
         for workers in WORKER_COUNTS {
-            let got = run_threaded(&g, progs(&scripts), cfg(), workers).unwrap();
+            let got = Engine::with_workers(&g, cfg(), Some(workers))
+                .run(progs(&scripts))
+                .unwrap();
             assert_runs_equal(&format!("case {case} threaded w{workers}"), &want, &got);
         }
     }
@@ -503,7 +502,9 @@ fn faulty_runs_with_delays_spanning_jumps_match_the_reference() {
             .unwrap();
         assert_runs_equal(&format!("case {case} serial faulty"), &want, &got);
         for workers in WORKER_COUNTS {
-            let got = run_threaded_faulty(&g, progs(&scripts), cfg(), workers, &plan).unwrap();
+            let got = Engine::with_workers(&g, cfg(), Some(workers))
+                .run_faulty(progs(&scripts), &plan)
+                .unwrap();
             assert_runs_equal(
                 &format!("case {case} threaded faulty w{workers}"),
                 &want,
@@ -547,7 +548,10 @@ fn snapshots_anywhere_inside_a_jumped_span_are_byte_identical() {
     }
     // The threaded executor pauses to the very same bytes.
     for workers in WORKER_COUNTS {
-        match snapshot_at_threaded(&g, progs(&scripts), cfg(), workers, None, GAP / 2).unwrap() {
+        match Engine::with_workers(&g, cfg(), Some(workers))
+            .snapshot_at(progs(&scripts), None, GAP / 2)
+            .unwrap()
+        {
             Paused::Snapshot(s) => assert_eq!(
                 s, snaps[0],
                 "threaded w{workers} snapshot differs from serial"
@@ -559,7 +563,9 @@ fn snapshots_anywhere_inside_a_jumped_span_are_byte_identical() {
     for s in &snaps {
         let resumed = Engine::new(&g, cfg()).resume(progs(&scripts), s).unwrap();
         assert_runs_equal("serial resume", &uninterrupted, &resumed);
-        let resumed = resume_threaded(&g, progs(&scripts), s, 4).unwrap();
+        let resumed = Engine::with_workers(&g, Config::default(), Some(4))
+            .resume(progs(&scripts), s)
+            .unwrap();
         assert_runs_equal("threaded resume", &uninterrupted, &resumed);
     }
 }
@@ -606,7 +612,9 @@ fn snapshot_with_delayed_messages_pending_across_a_jump_resumes_identically() {
         .unwrap();
     assert_runs_equal("serial resume", &uninterrupted, &resumed);
     for workers in WORKER_COUNTS {
-        let resumed = resume_threaded(&g, progs(&scripts), &snap, workers).unwrap();
+        let resumed = Engine::with_workers(&g, Config::default(), Some(workers))
+            .resume(progs(&scripts), &snap)
+            .unwrap();
         assert_runs_equal(
             &format!("threaded resume w{workers}"),
             &uninterrupted,

@@ -15,7 +15,7 @@ use awake::core::linegraph;
 use awake::graphs::generators;
 use awake::olocal::edge::{solve_edges_sequentially, EdgeColoring, EdgeIndex, MaximalMatching};
 use awake::olocal::EdgeProblem;
-use awake::sleeping::Config;
+use awake::sleeping::{Config, FaultPlan};
 use awake_lab::runner::Runner;
 use awake_lab::scenario::presets;
 
@@ -69,8 +69,15 @@ fn main() {
     );
 
     let cinputs = EdgeColoring.trivial_inputs(&g);
-    let col = linegraph::solve_edges_threaded(&g, &EdgeColoring, &cinputs, Config::default(), 4)
-        .expect("adapter runs threaded");
+    let col = linegraph::solve_edges_faulty(
+        &g,
+        &EdgeColoring,
+        &cinputs,
+        Config::default(),
+        &FaultPlan::new(0),
+        Some(4),
+    )
+    .expect("adapter runs threaded");
     EdgeColoring
         .validate(&g, &cinputs, &col.outputs)
         .expect("edge coloring is proper and within palette");

@@ -18,7 +18,7 @@ use awake::olocal::problems::{
     DegreePlusOneListColoring, DeltaPlusOneColoring, MaximalIndependentSet, MinimalVertexCover,
 };
 use awake::olocal::OLocalProblem;
-use awake::sleeping::{threaded, Config, Engine};
+use awake::sleeping::{Config, Engine};
 use awake_lab::runner::Runner;
 use awake_lab::scenario::presets;
 
@@ -39,7 +39,9 @@ where
             .collect()
     };
     let serial = Engine::new(g, Config::default()).run(mk()).unwrap();
-    let par = threaded::run_threaded(g, mk(), Config::default(), WORKERS).unwrap();
+    let par = Engine::with_workers(g, Config::default(), Some(WORKERS))
+        .run(mk())
+        .unwrap();
     assert_eq!(serial.outputs, par.outputs, "per-node outputs diverge");
     assert_eq!(serial.metrics, par.metrics, "metrics diverge");
 }

@@ -1,7 +1,8 @@
 //! # awake — sub-logarithmic awake complexity for sequential greedy problems
 //!
 //! Umbrella crate re-exporting the whole workspace. See the README for a
-//! tour and `DESIGN.md` for the paper-to-module map.
+//! tour; its "Paper-to-module correspondence" section maps each lemma and
+//! theorem of the paper to its module.
 
 #![forbid(unsafe_code)]
 

@@ -13,7 +13,7 @@ use awake::graphs::{generators, Graph, NodeId};
 use awake::olocal::edge::{
     solve_edges_sequentially, EdgeColoring, EdgeIndex, EdgeProblem, MaximalMatching,
 };
-use awake::sleeping::{threaded, Action, Config, Engine, Metrics, Round, SimError};
+use awake::sleeping::{Action, Codec, Config, Engine, FaultPlan, Metrics, Round, SimError};
 
 /// Run the adapter for `problem` serially and under 1, 2, 4 and 8
 /// workers; assert full equivalence and validator acceptance.
@@ -21,6 +21,7 @@ fn assert_edge_equivalent<P>(g: &Graph, problem: &P)
 where
     P: EdgeProblem + Clone + Send + Sync,
     P::Input: Clone,
+    P::Output: Codec,
 {
     let idx = EdgeIndex::new(g);
     let inputs = problem.trivial_inputs(g);
@@ -33,8 +34,15 @@ where
         "adapter must realize the by-label sequential greedy"
     );
     for workers in [1usize, 2, 4, 8] {
-        let par = linegraph::solve_edges_threaded(g, problem, &inputs, Config::default(), workers)
-            .unwrap();
+        let par = linegraph::solve_edges_faulty(
+            g,
+            problem,
+            &inputs,
+            Config::default(),
+            &FaultPlan::new(0),
+            Some(workers),
+        )
+        .unwrap();
         assert_eq!(
             serial.outputs, par.outputs,
             "edge outputs diverge at workers = {workers}"
@@ -162,9 +170,9 @@ fn error_precedence_matches_serial_across_chunks() {
         }
     );
     for workers in [1usize, 2, 4, 8] {
-        let par_err =
-            threaded::run_threaded(&g, bad_hosts(&g, &idx, &bad), Config::default(), workers)
-                .unwrap_err();
+        let par_err = Engine::with_workers(&g, Config::default(), Some(workers))
+            .run(bad_hosts(&g, &idx, &bad))
+            .unwrap_err();
         assert_eq!(
             par_err, serial_err,
             "error precedence diverges at workers = {workers}"

@@ -8,8 +8,7 @@ use awake::core::trivial::TrivialGreedy;
 use awake::graphs::{generators, Graph};
 use awake::olocal::problems::{DeltaPlusOneColoring, MaximalIndependentSet};
 use awake::sleeping::{
-    threaded, Action, Config, Engine, Envelope, Metrics, Outbox, Program, Round, Run, TraceMode,
-    View,
+    Action, Config, Engine, Envelope, Metrics, Outbox, Program, Round, Run, TraceMode, View,
 };
 
 /// Run serially and under 1, 2, 4 and 8 workers; assert full equivalence —
@@ -23,7 +22,9 @@ where
 {
     let serial: Run<P::Output> = Engine::new(g, Config::default()).run(mk()).unwrap();
     for workers in [1usize, 2, 4, 8] {
-        let par = threaded::run_threaded(g, mk(), Config::default(), workers).unwrap();
+        let par = Engine::with_workers(g, Config::default(), Some(workers))
+            .run(mk())
+            .unwrap();
         assert!(
             serial.outputs == par.outputs,
             "outputs diverge at workers = {workers}"
@@ -76,7 +77,9 @@ where
             "traced workloads must record events"
         );
         for workers in [1usize, 2, 4, 8] {
-            let par = threaded::run_threaded(g, mk(), cfg, workers).unwrap();
+            let par = Engine::with_workers(g, cfg, Some(workers))
+                .run(mk())
+                .unwrap();
             assert_eq!(
                 serial.trace, par.trace,
                 "trace diverges at workers = {workers}, cap = {cap}"
@@ -198,7 +201,9 @@ fn stay_lane_meets_wheel_wake_across_block_boundary() {
     assert_equivalent(&g, mk);
     for run in [
         Engine::new(&g, Config::default()).run(mk()).unwrap(),
-        threaded::run_threaded(&g, mk(), Config::default(), 2).unwrap(),
+        Engine::with_workers(&g, Config::default(), Some(2))
+            .run(mk())
+            .unwrap(),
     ] {
         assert_eq!(run.outputs[0], vec![(66, 2)], "node 0 must hear node 1");
         assert_eq!(run.outputs[1], vec![(66, 1)], "node 1 must hear node 0");
