@@ -22,7 +22,7 @@ use awake_lab::report::{
 use awake_olocal::edge::{solve_edges_sequentially, EdgeColoring, EdgeIndex, MaximalMatching};
 use awake_olocal::EdgeProblem;
 use awake_sleeping::{
-    threaded, Action, Config, Engine, Envelope, Outbox, Outgoing, PhaseTimes, Program, View,
+    Action, Config, Engine, Envelope, Outbox, Outgoing, PhaseTimes, Program, View,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
@@ -342,10 +342,9 @@ fn bench_threaded_scaling() -> (ThreadedScaling, PhaseTimesBench) {
     // plain threaded run — asserted below along with the serial engine.
     let mut phases = PhaseTimes::default();
     let mut timed = None;
+    let pool = Engine::with_workers(&g, Config::default(), Some(4));
     for _ in 0..SCALE_ITERS {
-        timed = Some(
-            threaded::run_threaded_timed(&g, mk(), Config::default(), 4, &mut phases).unwrap(),
-        );
+        timed = Some(pool.run_timed(mk(), &mut phases).unwrap());
     }
     let timed = timed.expect("SCALE_ITERS > 0");
 

@@ -23,11 +23,11 @@
 //! binaries, so installing it here does not affect any other test.
 
 use awake_core::linegraph::{self, EdgeGreedy, LineGraphHost};
-use awake_core::theorem1;
+use awake_core::{bm21, theorem1};
 use awake_graphs::{generators, Graph};
 use awake_olocal::edge::{EdgeColoring, EdgeIndex, EdgeProblem, MaximalMatching};
 use awake_olocal::problems::DeltaPlusOneColoring;
-use awake_sleeping::{Config, Engine};
+use awake_sleeping::{Config, Engine, FaultPlan};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
@@ -121,5 +121,35 @@ fn theorem1_allocations_per_event_stay_bounded() {
     assert!(
         per_event <= 60.0,
         "Theorem 1 regressed: {per_event:.1} allocs per awake event (cap 60)"
+    );
+}
+
+/// BM21 on the serial engine under drop and crash faults, the fault path
+/// the benchmark's `bm21-faults` workload runs: every node is wrapped in
+/// `Redundant`, crashes save and restore per-node state, and dropped
+/// messages are rolled per transmission. Measured at 0.3943 allocations
+/// per awake event (n = 1024, seed 3, 2% drops, 0.2% crashes); the cap is
+/// that figure plus 15% (0.453), so a per-round or per-node allocation added to
+/// the round body, the `Redundant` wrapper or the fault path fails here.
+#[test]
+fn bm21_faulty_serial_allocations_per_event_stay_bounded() {
+    let _counting = counting();
+    let n = 1024;
+    let g = generators::gnp_sparse(n, 4.0 / (n - 1) as f64, 3);
+    let inputs = vec![(); g.n()];
+    let plan = FaultPlan {
+        drop_ppm: 20_000,
+        crash_ppm: 2_000,
+        ..FaultPlan::new(3)
+    };
+    let a0 = alloc_count();
+    let r = bm21::solve_faulty(&g, &DeltaPlusOneColoring, &inputs, None, &plan, None).unwrap();
+    let allocs = alloc_count() - a0;
+    let events = r.composition.awake_events();
+    let per_event = allocs as f64 / events as f64;
+    println!("bm21 under faults: {allocs} allocs / {events} awake events = {per_event:.4}");
+    assert!(
+        per_event <= 0.453,
+        "BM21 fault path regressed: {per_event:.4} allocs per awake event (cap 0.453)"
     );
 }

@@ -491,7 +491,8 @@ impl ThreadedScaling {
 
 /// The `phase_times` section of `BENCH_engine.json`: where a worker-pool
 /// round's wall time goes, collected by
-/// `awake_sleeping::threaded::run_threaded_timed` on the scaling workload.
+/// `awake_sleeping::Engine::run_timed` on a 4-worker engine over the
+/// scaling workload.
 /// Phase splits move with hardware and load, so these rows never gate in
 /// `baselines::diff_bench` — they are the forensic context for a
 /// `w4_vs_serial` regression: *which* pipeline stage ate the time.

@@ -1,11 +1,13 @@
 //! Per-round inbox storage: pooled per-recipient segments, no sorting.
 //!
-//! Messages are delivered straight into their recipient's segment as they
-//! are transmitted — **one** write per message. Segments are pooled `Vec`s
-//! that are cleared (capacity retained) per round, so the steady state
-//! allocates nothing; and because awake nodes transmit in ascending order,
-//! each segment is born sorted by sender — the seed engine's per-round
-//! `sort_by_key` is replaced by a debug assertion.
+//! Messages are delivered straight into their recipient's segment — **one**
+//! write per message on the inline path (a dispatched round adds one hop
+//! through an owner shard, so chunks can be built on other executors).
+//! Segments are pooled `Vec`s that are cleared (capacity retained) per
+//! round, so the steady state allocates nothing; and because awake nodes
+//! transmit in ascending order, each segment is born sorted by sender —
+//! the seed engine's per-round `sort_by_key` is replaced by a debug
+//! assertion.
 //!
 //! A flat single-`Vec` arena with per-node offset ranges built by a stable
 //! counting sort was implemented and benchmarked first; it loses to the
@@ -14,92 +16,27 @@
 //! times (stage, permute, place) with cache-hostile access patterns, while
 //! direct segment delivery touches it once.
 //!
-//! Two views of the same idea live here:
-//!
-//! * [`InboxArena`] — the serial engine's node-indexed segment pool over
-//!   all `n` recipients.
-//! * [`ChunkInboxes`] — a *per-worker* segment view indexed by position
-//!   within one chunk of the awake set. Each worker of the threaded
-//!   executor owns one and builds its chunk's inboxes locally by draining
-//!   the incoming owner shards in source-chunk order (chunks are
-//!   contiguous in node order and senders within a chunk ascend, so the
-//!   concatenation is a full sort by sender — same born-sorted invariant,
-//!   no coordinator copies).
+//! A segment pool is keyed by whatever the chunk running on it chooses:
+//! the inline path (one chunk, the whole awake set) keys segments by node
+//! and pushes each delivered message straight into its recipient's
+//! segment during the send phase — one write, no position lookup; a
+//! dispatched chunk keys them by the recipient's position within the
+//! chunk, so an executor never pays for nodes outside the chunks it runs,
+//! and its receive descriptor drains the incoming owner shards in
+//! source-chunk order (chunks are contiguous in node order and senders
+//! within a chunk ascend, so the concatenation is a full sort by sender —
+//! same born-sorted invariant).
 
 use crate::program::Envelope;
-use awake_graphs::NodeId;
 
-/// Round-scratch inbox storage for the serial executor.
-#[derive(Debug)]
-pub(crate) struct InboxArena<M> {
-    /// Per-recipient segments; only awake nodes' segments are touched.
-    lists: Vec<Vec<Envelope<M>>>,
-}
-
-impl<M> InboxArena<M> {
-    pub(crate) fn new(n: usize) -> Self {
-        InboxArena {
-            lists: (0..n).map(|_| Vec::new()).collect(),
-        }
-    }
-
-    /// Deliver one message. Callers guarantee `to` is awake this round and
-    /// that calls arrive in ascending sender order.
-    #[inline]
-    pub(crate) fn stage(&mut self, from: NodeId, to: NodeId, msg: M) {
-        self.lists[to.index()].push(Envelope { from, msg });
-    }
-
-    /// The inbox of awake node `v`, sorted by sender.
-    ///
-    /// Sortedness is free: the transmission loop runs over the ascending
-    /// awake set, so envelopes arrive in sender order (debug-asserted here
-    /// — a comparison sort would be redundant work).
-    #[inline]
-    pub(crate) fn inbox(&self, v: u32) -> &[Envelope<M>] {
-        let slice = &self.lists[v as usize];
-        debug_assert!(
-            slice.windows(2).all(|w| w[0].from <= w[1].from),
-            "inbox of {v} must arrive sorted by sender"
-        );
-        slice
-    }
-
-    /// Restore node `v`'s sorted-by-sender invariant after an
-    /// out-of-order delivery (a fault-delayed message arriving after the
-    /// regular ascending-sender transmission pass). Stable, so envelopes
-    /// from the same sender keep their staging order — the serial and
-    /// threaded executors stage in the same order and therefore end with
-    /// identical inboxes.
-    #[inline]
-    pub(crate) fn resort_inbox(&mut self, v: u32) {
-        self.lists[v as usize].sort_by_key(|e| e.from);
-    }
-
-    /// Clear node `v`'s inbox (capacity retained).
-    ///
-    /// Segments are *self-clearing*: rather than a separate
-    /// cold-cache pass over the awake set at round start, the serial
-    /// executor clears each inbox right after its `receive` (while the
-    /// segment header is hot) — so every round starts with all segments
-    /// empty by construction.
-    #[inline]
-    pub(crate) fn clear_inbox(&mut self, v: u32) {
-        self.lists[v as usize].clear();
-    }
-}
-
-/// A worker-owned segment pool over one chunk of the awake set, indexed by
-/// the recipient's *position within the chunk* (dense, not node-indexed:
-/// a worker never pays memory for nodes it doesn't own this round).
+/// An executor-owned pool of inbox segments, keyed by node on the inline
+/// path and by position within the chunk on a dispatched one.
 ///
-/// The threaded executor's receive phase drains each incoming owner shard
-/// — one per source chunk, visited in chunk index order — through
-/// [`push`](Self::push), then hands [`inbox`](Self::inbox) straight to
-/// `Program::receive` and [`clear`](Self::clear)s the segment while its
-/// header is hot, exactly like the serial engine's arena discipline.
-/// Capacity is retained across rounds and chunk shapes, so the steady
-/// state allocates nothing.
+/// `Program::receive` gets [`inbox`](Self::inbox) straight, and the
+/// executor [`clear`](Self::clear)s the segment right after, while its
+/// header is hot — so every round starts with all segments empty, without
+/// a separate cold-cache pass. Capacity is retained across rounds and
+/// chunk shapes, so the steady state allocates nothing.
 #[derive(Debug)]
 pub(crate) struct ChunkInboxes<M> {
     segs: Vec<Vec<Envelope<M>>>,
@@ -117,16 +54,18 @@ impl<M> ChunkInboxes<M> {
         }
     }
 
-    /// Deliver one envelope to the recipient at chunk position `local`.
-    /// Callers guarantee envelopes for a fixed recipient arrive in
-    /// ascending sender order (source chunks visited in chunk order).
+    /// Deliver one envelope into segment `local`. Callers guarantee
+    /// envelopes for a fixed recipient arrive in ascending sender order.
     #[inline]
     pub(crate) fn push(&mut self, local: u32, env: Envelope<M>) {
         self.segs[local as usize].push(env);
     }
 
-    /// The inbox of the recipient at chunk position `local`, sorted by
-    /// sender (asserted in debug builds, same invariant as [`InboxArena`]).
+    /// The inbox in segment `local`, sorted by sender.
+    ///
+    /// Sortedness is free: senders transmit in ascending order, so
+    /// envelopes arrive in sender order (debug-asserted here — a
+    /// comparison sort would be redundant work).
     #[inline]
     pub(crate) fn inbox(&self, local: usize) -> &[Envelope<M>] {
         let slice = &self.segs[local];
@@ -137,28 +76,17 @@ impl<M> ChunkInboxes<M> {
         slice
     }
 
-    /// Drain a shard of `(chunk position, envelope)` deliveries into the
-    /// pool — the threaded executor's receive descriptors pull incoming
-    /// shards through this, one source chunk at a time in chunk index
-    /// order, which preserves the born-sorted invariant checked by
-    /// [`inbox`](Self::inbox). Callers [`ensure`](Self::ensure) capacity
-    /// for the chunk first.
-    #[inline]
-    pub(crate) fn extend_from(&mut self, entries: impl Iterator<Item = (u32, Envelope<M>)>) {
-        for (local, env) in entries {
-            self.segs[local as usize].push(env);
-        }
-    }
-
-    /// Restore the sorted-by-sender invariant of the segment at chunk
-    /// position `local` after late (fault-delayed) deliveries — the stable
-    /// counterpart of [`InboxArena::resort_inbox`].
+    /// Restore the sorted-by-sender invariant of segment `local` after an out-of-order delivery (a fault-delayed
+    /// message arriving after the regular ascending-sender pass). Stable,
+    /// so envelopes from the same sender keep their staging order — every
+    /// chunking stages in the same order and therefore ends with identical
+    /// inboxes.
     #[inline]
     pub(crate) fn resort(&mut self, local: usize) {
         self.segs[local].sort_by_key(|e| e.from);
     }
 
-    /// Clear the segment at chunk position `local` (capacity retained).
+    /// Clear segment `local` (capacity retained).
     #[inline]
     pub(crate) fn clear(&mut self, local: usize) {
         self.segs[local].clear();
@@ -168,43 +96,7 @@ impl<M> ChunkInboxes<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn groups_by_recipient_preserving_sender_order() {
-        let mut a: InboxArena<&'static str> = InboxArena::new(4);
-        // ascending senders: 0 then 1 then 3; interleaved recipients
-        a.stage(NodeId(0), NodeId(1), "0->1");
-        a.stage(NodeId(0), NodeId(3), "0->3");
-        a.stage(NodeId(1), NodeId(0), "1->0");
-        a.stage(NodeId(1), NodeId(3), "1->3a");
-        a.stage(NodeId(1), NodeId(3), "1->3b");
-        a.stage(NodeId(3), NodeId(0), "3->0");
-        let msgs = |a: &InboxArena<&'static str>, v: u32| {
-            a.inbox(v).iter().map(|e| e.msg).collect::<Vec<_>>()
-        };
-        assert_eq!(msgs(&a, 0), ["1->0", "3->0"]);
-        assert_eq!(msgs(&a, 1), ["0->1"]);
-        assert_eq!(msgs(&a, 3), ["0->3", "1->3a", "1->3b"]);
-    }
-
-    #[test]
-    fn rounds_reuse_segments_via_self_clearing() {
-        let mut a: InboxArena<u64> = InboxArena::new(3);
-        a.stage(NodeId(0), NodeId(1), 7);
-        assert_eq!(a.inbox(1).len(), 1);
-        assert!(a.inbox(0).is_empty());
-        // the executor clears an inbox after its receive call
-        a.clear_inbox(1);
-        a.stage(NodeId(1), NodeId(2), 8);
-        assert!(a.inbox(1).is_empty());
-        assert_eq!(
-            a.inbox(2),
-            &[Envelope {
-                from: NodeId(1),
-                msg: 8
-            }]
-        );
-    }
+    use awake_graphs::NodeId;
 
     #[test]
     fn chunk_inboxes_concatenate_source_runs_in_order() {

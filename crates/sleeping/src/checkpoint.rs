@@ -1,6 +1,6 @@
 //! Versioned, std-only binary snapshots of engine state.
 //!
-//! A [`Snapshot`] captures everything the executors need to continue a run
+//! A [`Snapshot`] captures everything the executor needs to continue a run
 //! exactly where it stopped: the current round, every node's next wake
 //! round, the stay lane, the pending wake-wheel events, per-node program
 //! state (through the [`Persist`] trait), the outputs produced so far,
@@ -10,10 +10,11 @@
 //! The load-bearing invariant, asserted by the integration tests at every
 //! round of seeded runs: *run to round r, snapshot, restore, run to the
 //! end* is **bit-for-bit identical** to an uninterrupted run — outputs,
-//! `Metrics`, and trace — on the serial engine and the threaded executor
-//! at any worker count. Snapshots are taken at round boundaries, where the
-//! two executors' observable states coincide, so a snapshot written by one
-//! executor can be resumed by the other.
+//! `Metrics`, and trace — at any worker count. There is one executor (the
+//! serial engine is its one-executor path), and between rounds all of its
+//! observable state lives with the coordinator, so a snapshot is the same
+//! bytes whatever the worker count that wrote it, and any worker count can
+//! resume it.
 //!
 //! # Format
 //!
@@ -32,11 +33,13 @@
 //!          per-node program blobs, metrics, tracer, fault state
 //! ```
 //!
-//! Decoding validates the magic, the version, the graph fingerprint, and
-//! every length against the remaining input; a snapshot must also be
-//! consumed *exactly* ([`CheckpointError::TrailingBytes`] otherwise), so
-//! truncated or corrupt files fail with a typed error instead of producing
-//! a silently wrong resume.
+//! Decoding validates the magic, the version, the graph fingerprint,
+//! every length against the remaining input, and every node id and round
+//! the state refers to (stay lane, wheel events, delayed messages); a
+//! snapshot must also be consumed *exactly*
+//! ([`CheckpointError::TrailingBytes`] otherwise), so truncated or corrupt
+//! files fail with a typed error instead of producing a silently wrong
+//! resume.
 //!
 //! # The [`Persist`] contract
 //!
@@ -468,7 +471,7 @@ pub trait Persist {
 }
 
 /// The save/restore entry points of a concrete `P: Persist`, captured as
-/// plain function pointers so the executor cores — which deliberately have
+/// plain function pointers so the executor — which deliberately has
 /// no `Persist` bound — can crash-restart nodes. Built by the bounded
 /// public wrappers via [`CrashIo::of`].
 pub(crate) struct CrashIo<P> {
@@ -542,23 +545,6 @@ pub enum Paused<O> {
     Snapshot(Snapshot),
 }
 
-/// How a snapshot encoder reads the per-node programs: the serial engine
-/// holds them flat, the threaded executor parks them in option slots
-/// (all occupied between rounds).
-pub(crate) enum ProgramsRef<'a, P> {
-    Flat(&'a [P]),
-    Slots(&'a [Option<P>]),
-}
-
-impl<'a, P> ProgramsRef<'a, P> {
-    fn get(&self, v: usize) -> &'a P {
-        match self {
-            ProgramsRef::Flat(s) => &s[v],
-            ProgramsRef::Slots(s) => s[v].as_ref().expect("program parked between rounds"),
-        }
-    }
-}
-
 /// A borrowed view of everything a snapshot captures, assembled by an
 /// executor at a round boundary.
 pub(crate) struct EngineStateRef<'a, P: Program> {
@@ -568,7 +554,8 @@ pub(crate) struct EngineStateRef<'a, P: Program> {
     /// Pending wheel events, sorted by `(round, node)`.
     pub(crate) wheel_events: Vec<(Round, u32)>,
     pub(crate) outputs: &'a [Option<P::Output>],
-    pub(crate) programs: ProgramsRef<'a, P>,
+    /// The executor's program slots, all occupied between rounds.
+    pub(crate) programs: &'a [Option<P>],
     pub(crate) metrics: &'a Metrics,
     pub(crate) tracer: &'a Tracer,
     pub(crate) faults: Option<&'a FaultState<P::Msg>>,
@@ -772,9 +759,9 @@ impl<M: Codec> Codec for DelayedMsg<M> {
     }
 }
 
-/// Serialize a paused run. Both executors call this with identical logical
-/// state at a round boundary, so serial and threaded snapshots of the same
-/// run at the same round are byte-identical (asserted in tests).
+/// Serialize a paused run. The executor calls this with the same logical
+/// state at a round boundary whatever its worker count, so snapshots of
+/// the same run at the same round are byte-identical (asserted in tests).
 pub(crate) fn encode_snapshot<P>(
     graph: &Graph,
     config: Config,
@@ -801,8 +788,10 @@ where
     for o in st.outputs {
         o.encode(&mut w);
     }
-    for v in 0..n {
-        st.programs.get(v).save(&mut w);
+    for p in st.programs {
+        p.as_ref()
+            .expect("program parked between rounds")
+            .save(&mut w);
     }
     // metrics
     let m = st.metrics;
@@ -946,6 +935,15 @@ where
         1 => {
             let plan: FaultPlan = r.get()?;
             let delayed: Vec<DelayedMsg<P::Msg>> = r.get()?;
+            // Every buffered message is still in flight (resolved messages
+            // leave the buffer in the round they come due) and travels
+            // between two nodes of this graph.
+            if delayed
+                .iter()
+                .any(|d| d.from.index() >= n || d.to.index() >= n || d.due <= prev_round)
+            {
+                return Err(CheckpointError::Corrupt("delayed message"));
+            }
             let recovering: Vec<bool> = r.get()?;
             if recovering.len() != n {
                 return Err(CheckpointError::Corrupt("recovering length"));
@@ -984,7 +982,7 @@ where
 /// restored round — validated during decode). Bucket layout is relative to
 /// the wheel's running position, so the rebuilt wheel is not byte-identical
 /// to the original — but pop order and peek results are, which is all the
-/// executors observe.
+/// executor observes.
 pub(crate) fn rebuild_wheel(events: &[(Round, u32)]) -> WakeWheel {
     let mut wheel = WakeWheel::new();
     wheel.schedule_all(events.iter().copied());
@@ -1165,6 +1163,96 @@ mod tests {
             to: NodeId(2),
             msg: 99u64,
         });
+    }
+
+    /// Floods the largest ident heard for `rounds` rounds, then halts.
+    struct FloodMax {
+        best: u64,
+        rounds: u64,
+    }
+
+    impl Program for FloodMax {
+        type Msg = u64;
+        type Output = u64;
+        fn send(&mut self, _: &crate::View, out: &mut crate::Outbox<u64>) {
+            out.broadcast(self.best);
+        }
+        fn receive(&mut self, view: &crate::View, inbox: &[crate::Envelope<u64>]) -> crate::Action {
+            self.best = inbox
+                .iter()
+                .fold(self.best.max(view.ident), |b, e| b.max(e.msg));
+            if view.round >= self.rounds {
+                crate::Action::Halt
+            } else {
+                crate::Action::Stay
+            }
+        }
+        fn output(&self) -> Option<u64> {
+            Some(self.best)
+        }
+    }
+
+    impl Persist for FloodMax {
+        fn save(&self, w: &mut Writer) {
+            self.best.encode(w);
+        }
+        fn restore(&mut self, r: &mut Reader<'_>) -> Result<(), CheckpointError> {
+            self.best = u64::decode(r)?;
+            Ok(())
+        }
+    }
+
+    /// A snapshot whose delayed-message buffer names a node past the graph
+    /// must fail to decode with a typed error at any worker count, not pass
+    /// decode and panic (or hang the pool) on resume.
+    #[test]
+    fn delayed_message_to_a_missing_node_is_a_typed_error() {
+        let g = awake_graphs::generators::cycle(12);
+        let n = g.n();
+        let mk = || {
+            (0..n)
+                .map(|_| FloodMax {
+                    best: 0,
+                    rounds: 10,
+                })
+                .collect::<Vec<_>>()
+        };
+        let mut plan = FaultPlan::new(5);
+        plan.delay_ppm = 300_000;
+        plan.delay_rounds = 4;
+        let snap = match crate::Engine::new(&g, Config::default())
+            .snapshot_at(mk(), Some(&plan), 3)
+            .unwrap()
+        {
+            Paused::Snapshot(s) => s,
+            Paused::Done(_) => panic!("run finished before the pause"),
+        };
+        // The snapshot ends with the delayed buffer, whose last entry is
+        // `due, from, to, msg` (u64, u32, u32, u64), then the recovering
+        // bitset (u64 length + n bytes). Re-encode the last message's `to`
+        // as n + 5, after checking the offset against the decoded buffer.
+        let mut state = decode_snapshot(&g, &snap, &mut mk()).unwrap();
+        let delayed = state.faults.take().expect("faulty snapshot").delayed;
+        let last = delayed
+            .last()
+            .expect("the pause must catch a message in flight");
+        let mut bytes = snap.as_bytes().to_vec();
+        let at = bytes.len() - (8 + n) - 8 - 4;
+        assert_eq!(bytes[at..at + 4], last.to.0.to_le_bytes(), "offset of `to`");
+        bytes[at..at + 4].copy_from_slice(&(n as u32 + 5).to_le_bytes());
+        let bad = Snapshot::from_bytes(bytes).unwrap();
+        for workers in [None, Some(2)] {
+            let err = crate::Engine::with_workers(&g, Config::default(), workers)
+                .resume(mk(), &bad)
+                .unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    ResumeError::Checkpoint(CheckpointError::Corrupt("delayed message"))
+                ),
+                "workers = {workers:?}: {err}"
+            );
+        }
     }
 
     #[test]

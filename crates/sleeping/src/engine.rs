@@ -1,17 +1,23 @@
-//! The deterministic skip-ahead executor.
+//! The [`Engine`] API and the round mechanics its executor shares.
+//!
+//! The executor itself — one round body, run on the coordinator alone or
+//! on a worker pool — lives in the [`threaded`](crate::threaded) module;
+//! this module holds the public surface ([`Engine`], [`Config`], [`Run`],
+//! [`SimError`]) and the helpers every round uses.
 //!
 //! # Hot-path design
 //!
 //! The per-node-round loop is allocation-free in steady state:
 //!
-//! * **Sending** — programs write into one engine-owned [`Outbox`] that is
-//!   cleared (capacity retained) between nodes; no `Vec` is returned per
-//!   `send` call.
+//! * **Sending** — programs write into one executor-owned
+//!   [`Outbox`](crate::Outbox) that is cleared (capacity retained) between
+//!   nodes; no `Vec` is returned per `send` call.
 //! * **Scheduling** — wake-ups live in a hierarchical bucket queue
-//!   ([`crate::wheel`]) instead of a binary heap, and [`Action::Stay`] — the
-//!   dominant action in dense phases — bypasses the queue entirely via a
-//!   *stay lane*: nodes that remain awake are carried to the next round in
-//!   an already-sorted `Vec`.
+//!   ([`crate::wheel`]) instead of a binary heap, and
+//!   [`Action::Stay`](crate::Action::Stay) — the dominant action in dense
+//!   phases — bypasses the queue entirely via a *stay lane*: nodes that
+//!   remain awake are carried to the next round in an already-sorted
+//!   `Vec`.
 //! * **Inboxes** — messages are delivered straight into pooled
 //!   per-recipient segments (one write per message, capacity reused across
 //!   rounds). Because awake nodes transmit in ascending order, each inbox
@@ -19,16 +25,15 @@
 //!   debug builds; see [`crate::arena`] for the design notes and the
 //!   benchmarked alternative).
 
-use crate::arena::InboxArena;
 use crate::checkpoint::{
-    decode_snapshot, encode_snapshot, rebuild_wheel, Codec, CrashIo, EngineStateRef, Paused,
-    Persist, ProgramsRef, Reader, RestoredState, ResumeError, Snapshot,
+    decode_snapshot, encode_snapshot, Codec, CrashIo, EngineStateRef, Paused, Persist,
+    RestoredState, ResumeError, Snapshot,
 };
-use crate::faults::{DelayedMsg, FaultPlan, FaultState};
-use crate::metrics::Metrics;
-use crate::program::{Action, Outbox, Program, View};
+use crate::faults::{FaultPlan, FaultState};
+use crate::metrics::{Metrics, PhaseTimes};
+use crate::program::Program;
 use crate::threaded::{run_threaded_core, ChaosPlan};
-use crate::trace::{TraceEvent, TraceMode, Tracer};
+use crate::trace::{TraceEvent, TraceMode};
 use crate::wheel::WakeWheel;
 use crate::Round;
 use awake_graphs::{Graph, NodeId};
@@ -159,7 +164,7 @@ pub struct Run<O> {
 pub(crate) const NEVER: Round = 0;
 
 /// Initialize `next_wake`/`outputs` and seed the scheduler from
-/// [`Program::initial_wake`]. Shared by the serial and threaded executors.
+/// [`Program::initial_wake`].
 pub(crate) fn seed_schedule<P: Program>(
     programs: &[P],
     wheel: &mut WakeWheel,
@@ -242,18 +247,13 @@ pub(crate) fn next_awake_set(
     Some(round)
 }
 
-/// The mutable fault-injection context of one executor: the seeded state
-/// (plan + delayed-message buffer) plus the crash-restart machinery — the
-/// [`Persist`] entry points of the concrete program type (captured as
-/// function pointers so the executor core needs no `Persist` bound) and
-/// the current round's crash blobs, saved at start-of-round and consumed
-/// in phase B.
+/// The mutable fault-injection context of a run: the seeded state (plan +
+/// delayed-message buffer + recovery bitset) plus the [`Persist`] entry
+/// points of the concrete program type, captured as function pointers so
+/// the executor needs no `Persist` bound.
 pub(crate) struct FaultCtx<P: Program> {
     pub(crate) state: FaultState<P::Msg>,
     pub(crate) crash_io: CrashIo<P>,
-    /// `(node, start-of-round state)` of nodes that crash this round, in
-    /// node order (phase A order); emptied by phase B.
-    crashed: Vec<(u32, Vec<u8>)>,
 }
 
 impl<P: Program> FaultCtx<P> {
@@ -261,434 +261,7 @@ impl<P: Program> FaultCtx<P> {
         FaultCtx {
             state: FaultState::new(plan),
             crash_io,
-            crashed: Vec::new(),
         }
-    }
-
-    pub(crate) fn from_state(state: FaultState<P::Msg>, crash_io: CrashIo<P>) -> Self {
-        FaultCtx {
-            state,
-            crash_io,
-            crashed: Vec::new(),
-        }
-    }
-}
-
-/// The serial executor's full mutable state, factored out of
-/// [`Engine::run`] so checkpointing can pause between rounds: `step`
-/// executes exactly one round, `peek_next` answers "what round would run
-/// next" without committing anything, and `state_ref` exposes the round
-/// boundary for snapshot encoding.
-struct SerialExec<'g, P: Program> {
-    graph: &'g Graph,
-    config: Config,
-    programs: Vec<P>,
-    metrics: Metrics,
-    tracer: Tracer,
-    outputs: Vec<Option<P::Output>>,
-    /// `next_wake[v] = r`: v will be awake at round r; NEVER: halted.
-    next_wake: Vec<Round>,
-    wheel: WakeWheel,
-    // Round-scratch state, all reused: zero allocations per node-round
-    // once capacities have grown to the workload's high-water mark.
-    awake: Vec<u32>,
-    scratch: Vec<u32>,
-    stay: Vec<u32>,
-    outbox: Outbox<P::Msg>,
-    arena: InboxArena<P::Msg>,
-    prev_round: Round,
-    faults: Option<FaultCtx<P>>,
-}
-
-impl<'g, P: Program> SerialExec<'g, P> {
-    fn new(
-        graph: &'g Graph,
-        config: Config,
-        programs: Vec<P>,
-        faults: Option<FaultCtx<P>>,
-    ) -> Result<Self, SimError> {
-        let n = graph.n();
-        if programs.len() != n {
-            return Err(SimError::ProgramCountMismatch {
-                got: programs.len(),
-                expected: n,
-            });
-        }
-        let mut outputs: Vec<Option<P::Output>> = (0..n).map(|_| None).collect();
-        let mut next_wake: Vec<Round> = Vec::with_capacity(n);
-        let mut wheel = WakeWheel::new();
-        seed_schedule(&programs, &mut wheel, &mut next_wake, &mut outputs)?;
-        let mut faults = faults;
-        if let Some(f) = faults.as_mut() {
-            f.state.recovering.resize(n, false);
-        }
-        Ok(SerialExec {
-            graph,
-            config,
-            programs,
-            metrics: Metrics::new(n),
-            tracer: Tracer::new(config.trace),
-            outputs,
-            next_wake,
-            wheel,
-            awake: Vec::new(),
-            scratch: Vec::new(),
-            stay: Vec::new(),
-            outbox: Outbox::new(),
-            arena: InboxArena::new(n),
-            prev_round: 0,
-            faults,
-        })
-    }
-
-    /// Reassemble an executor at the round boundary a snapshot captured.
-    /// `programs` are the snapshot's restored programs and `faults` its
-    /// restored fault state; everything else comes from the decoded state
-    /// (including the config the snapshot was taken under, which wins over
-    /// the resuming engine's — a resumed run must behave like the
-    /// uninterrupted one).
-    fn from_restored(
-        graph: &'g Graph,
-        programs: Vec<P>,
-        rs: RestoredState<P::Msg, P::Output>,
-        faults: Option<FaultCtx<P>>,
-    ) -> Self {
-        SerialExec {
-            graph,
-            config: rs.config,
-            programs,
-            metrics: rs.metrics,
-            tracer: rs.tracer,
-            outputs: rs.outputs,
-            next_wake: rs.next_wake,
-            wheel: rebuild_wheel(&rs.wheel_events),
-            awake: Vec::new(),
-            scratch: Vec::new(),
-            stay: rs.stay,
-            outbox: Outbox::new(),
-            arena: InboxArena::new(graph.n()),
-            prev_round: rs.prev_round,
-            faults,
-        }
-    }
-
-    /// The round the next `step` would execute, without committing the
-    /// scheduler (a non-empty stay lane wakes at `prev_round + 1`, which
-    /// is the earliest any pending event can be).
-    fn peek_next(&mut self) -> Option<Round> {
-        if !self.stay.is_empty() {
-            Some(self.prev_round + 1)
-        } else {
-            self.wheel.peek_min()
-        }
-    }
-
-    /// Execute one round; `Ok(false)` means nothing was pending.
-    fn step(&mut self) -> Result<bool, SimError> {
-        // Monomorphized on fault presence: compiled with `FAULTY = false`
-        // every crash/delay block in the body is dead code, so the
-        // fault-free round loop optimizes exactly as it did before fault
-        // injection existed (the bench gate holds the engine to that).
-        if self.faults.is_some() {
-            self.step_body::<true>()
-        } else {
-            self.step_body::<false>()
-        }
-    }
-
-    fn step_body<const FAULTY: bool>(&mut self) -> Result<bool, SimError> {
-        // Disjoint field borrows throughout the round body.
-        let SerialExec {
-            graph,
-            config,
-            programs,
-            metrics,
-            tracer,
-            outputs,
-            next_wake,
-            wheel,
-            awake,
-            scratch,
-            stay,
-            outbox,
-            arena,
-            prev_round,
-            faults,
-        } = self;
-        let n = graph.n();
-        let Some(round) = next_awake_set(wheel, stay, *prev_round, awake, scratch) else {
-            return Ok(false);
-        };
-        if round > config.max_rounds {
-            return Err(SimError::RoundBudgetExceeded {
-                limit: config.max_rounds,
-            });
-        }
-        // Rounds between the previous executed round and this one had no
-        // awake node: the wheel jumped them in one batch-cascade, and they
-        // are accounted here so `rounds = executed + skipped` stays exact
-        // under compression (identically in the threaded coordinator).
-        metrics.rounds_skipped += round - *prev_round - 1;
-        metrics.rounds = round;
-        *prev_round = round;
-
-        // Phase A: all awake nodes transmit.
-        for &v in awake.iter() {
-            let vid = NodeId(v);
-            let view = View {
-                round,
-                me: vid,
-                ident: graph.ident(vid),
-                n,
-                neighbors: graph.neighbors(vid),
-            };
-            metrics.note_awake(vid, programs[v as usize].span());
-            tracer.push(|| TraceEvent::Awake { round, node: vid });
-            if FAULTY {
-                if let Some(f) = faults.as_mut() {
-                    if f.state.plan.crashes(round, v) {
-                        // Save the start-of-round state *before* the node
-                        // acts: a crashed node loses this round's state
-                        // changes but its sends still go out (they left
-                        // before the crash).
-                        let mut w = crate::checkpoint::Writer::new();
-                        (f.crash_io.save)(&programs[v as usize], &mut w);
-                        f.crashed.push((v, w.into_bytes()));
-                    }
-                }
-            }
-            outbox.clear();
-            programs[v as usize].send(&view, outbox);
-            if FAULTY {
-                let f = faults.as_mut().expect("FAULTY step implies a plan");
-                route_messages_faulty(
-                    graph,
-                    outbox.items.drain(..),
-                    next_wake,
-                    round,
-                    vid,
-                    arena,
-                    metrics,
-                    tracer,
-                    &mut f.state,
-                )?;
-            } else {
-                route_messages(
-                    graph,
-                    outbox.items.drain(..),
-                    next_wake,
-                    round,
-                    vid,
-                    arena,
-                    metrics,
-                    tracer,
-                )?;
-            }
-        }
-
-        // Between phases: resolve fault-delayed messages that have come
-        // due. A delayed message is delivered only if its recipient is
-        // awake at exactly its due round; a due round nobody executed (or
-        // an asleep recipient) loses it — the model's rule, applied late.
-        if let Some(f) = faults.as_mut().filter(|_| FAULTY) {
-            if f.state.delayed.iter().any(|d| d.due <= round) {
-                let mut kept = Vec::with_capacity(f.state.delayed.len());
-                scratch.clear();
-                for d in f.state.delayed.drain(..) {
-                    if d.due > round {
-                        kept.push(d);
-                        continue;
-                    }
-                    let (due, from, to) = (d.due, d.from, d.to);
-                    if due == round && next_wake[to.index()] == round {
-                        metrics.messages_delivered += 1;
-                        tracer.push(|| TraceEvent::Delivered { round, from, to });
-                        arena.stage(from, to, d.msg);
-                        scratch.push(to.0);
-                    } else {
-                        metrics.messages_lost += 1;
-                        tracer.push(|| TraceEvent::Lost {
-                            round: due,
-                            from,
-                            to,
-                        });
-                    }
-                }
-                f.state.delayed = kept;
-                // Late deliveries land after the ascending-sender pass;
-                // restore each touched inbox's sorted-by-sender invariant.
-                scratch.sort_unstable();
-                scratch.dedup();
-                for &v in scratch.iter() {
-                    arena.resort_inbox(v);
-                }
-                scratch.clear();
-            }
-        }
-
-        // Phase B: all awake nodes receive and choose their next action
-        // (crashed nodes instead lose the round and restart).
-        let mut crash_i = 0usize;
-        let mut rec_round = false;
-        for &v in awake.iter() {
-            let vid = NodeId(v);
-            if let Some(f) = faults.as_mut().filter(|_| FAULTY) {
-                if f.crashed.get(crash_i).is_some_and(|c| c.0 == v) {
-                    let blob = &f.crashed[crash_i].1;
-                    crash_i += 1;
-                    arena.clear_inbox(v);
-                    let mut r = Reader::new(blob);
-                    (f.crash_io.restore)(&mut programs[v as usize], &mut r)
-                        .expect("Persist round-trip: restore must accept its own save");
-                    tracer.push(|| TraceEvent::Crash { round, node: vid });
-                    metrics.faults_crashed += 1;
-                    f.state.recovering[v as usize] = true;
-                    rec_round = true;
-                    next_wake[v as usize] = round + 1;
-                    stay.push(v);
-                    continue;
-                }
-            }
-            let view = View {
-                round,
-                me: vid,
-                ident: graph.ident(vid),
-                n,
-                neighbors: graph.neighbors(vid),
-            };
-            let action = programs[v as usize].receive(&view, arena.inbox(v));
-            // Clear while the segment header is hot (see `arena`).
-            arena.clear_inbox(v);
-            // A recovering node's awake rounds are overhead until its first
-            // non-Stay action puts it back on its schedule.
-            if FAULTY {
-                if let Some(f) = faults.as_mut() {
-                    if f.state.recovering[v as usize] {
-                        metrics.recovery_awake += 1;
-                        rec_round = true;
-                        if action != Action::Stay {
-                            f.state.recovering[v as usize] = false;
-                        }
-                    }
-                }
-            }
-            match action {
-                Action::Stay => {
-                    next_wake[v as usize] = round + 1;
-                    stay.push(v); // fast lane: never touches the wheel
-                }
-                Action::SleepUntil(until) => {
-                    if until <= round {
-                        return Err(SimError::InvalidSleep {
-                            node: vid,
-                            round,
-                            until,
-                        });
-                    }
-                    tracer.push(|| TraceEvent::Sleep {
-                        round,
-                        node: vid,
-                        until,
-                    });
-                    next_wake[v as usize] = until;
-                    wheel.schedule(until, v);
-                }
-                Action::Halt => {
-                    tracer.push(|| TraceEvent::Halt { round, node: vid });
-                    next_wake[v as usize] = NEVER;
-                    match programs[v as usize].output() {
-                        Some(o) => outputs[v as usize] = Some(o),
-                        None => return Err(SimError::MissingOutput(vid)),
-                    }
-                }
-            }
-        }
-        if let Some(f) = faults.as_mut().filter(|_| FAULTY) {
-            f.crashed.clear();
-        }
-        if FAULTY && rec_round {
-            metrics.recovery_rounds += 1;
-        }
-        Ok(true)
-    }
-
-    /// Finalize: account still-buffered delayed messages as lost and
-    /// unwrap the outputs.
-    fn finish(mut self) -> Result<Run<P::Output>, SimError> {
-        if let Some(f) = self.faults.as_mut() {
-            for d in f.state.delayed.drain(..) {
-                self.metrics.messages_lost += 1;
-                self.tracer.push(|| TraceEvent::Lost {
-                    round: d.due,
-                    from: d.from,
-                    to: d.to,
-                });
-            }
-        }
-        let outputs = self
-            .outputs
-            .into_iter()
-            .enumerate()
-            .map(|(v, o)| o.ok_or(SimError::MissingOutput(NodeId(v as u32))))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(Run {
-            outputs,
-            metrics: self.metrics,
-            trace: self.tracer.events,
-            trace_dropped: self.tracer.dropped,
-        })
-    }
-
-    /// The round boundary as snapshot input.
-    fn state_ref(&self) -> EngineStateRef<'_, P> {
-        EngineStateRef {
-            prev_round: self.prev_round,
-            next_wake: &self.next_wake,
-            stay: &self.stay,
-            wheel_events: self.wheel.pending_events(),
-            outputs: &self.outputs,
-            programs: ProgramsRef::Flat(&self.programs),
-            metrics: &self.metrics,
-            tracer: &self.tracer,
-            faults: self.faults.as_ref().map(|f| &f.state),
-        }
-    }
-
-    /// The plain round loop. Kept out of line: inlined into
-    /// [`Engine::run`] next to the worker-pool dispatch, it made the micro
-    /// bench's serial flood slower — speedup over the legacy stepper 1.54
-    /// against 2.04, medians of five alternating runs on a 2-vCPU guest.
-    #[inline(never)]
-    fn run_out(mut self) -> Result<Run<P::Output>, SimError> {
-        while self.step()? {}
-        self.finish()
-    }
-
-    /// Run to completion — or, under `ctl`, emit periodic snapshots and
-    /// pause into one at the pause bound.
-    fn drive(mut self, ctl: Option<CkptCtl<'_, P>>) -> Result<Paused<P::Output>, SimError> {
-        let Some(ctl) = ctl else {
-            return self.run_out().map(Paused::Done);
-        };
-        let mut last_emit = self.prev_round;
-        while let Some(next) = self.peek_next() {
-            // The boundary before `next`, so work is still pending: pause
-            // here, or emit a periodic snapshot.
-            let pause = ctl.pause_after.is_some_and(|bound| next > bound);
-            let emit = ctl
-                .every
-                .is_some_and(|every| self.prev_round >= last_emit.saturating_add(every));
-            if pause || emit {
-                let snap = (ctl.encode)(self.graph, self.config, self.state_ref());
-                if pause {
-                    return Ok(Paused::Snapshot(snap));
-                }
-                last_emit = self.prev_round;
-                (ctl.sink)(&snap);
-            }
-            self.step()?;
-        }
-        self.finish().map(Paused::Done)
     }
 }
 
@@ -727,11 +300,12 @@ pub(crate) fn completed<O>(outcome: Paused<O>) -> Run<O> {
     }
 }
 
-/// The deterministic executor: the serial round loop, or (built with
-/// [`Engine::with_workers`]) the worker-pool pipeline of the
-/// [`threaded`](crate::threaded) module. The choice is made once, here;
-/// every method dispatches on it and the two agree bit for bit —
-/// outputs, [`Metrics`], trace and snapshot bytes.
+/// The deterministic executor over one graph. It runs every round on a
+/// pool of executors whose size is chosen once, here: [`Engine::new`] is
+/// the one-executor (serial) engine, [`Engine::with_workers`] a worker
+/// pool. Both run the same round body (see the
+/// [`threaded`](crate::threaded) module) and agree bit for bit — outputs,
+/// [`Metrics`], trace and snapshot bytes.
 ///
 /// See the [crate docs](crate) for a worked example.
 pub struct Engine<'g> {
@@ -745,15 +319,17 @@ pub struct Engine<'g> {
 }
 
 impl<'g> Engine<'g> {
-    /// Create a serial engine over `graph`.
+    /// Create a serial engine over `graph`: the one-executor engine,
+    /// which runs every round inline on the calling thread.
     pub fn new(graph: &'g Graph, config: Config) -> Self {
         Engine::with_workers(graph, config, None)
     }
 
     /// Create an engine over `graph` that runs on a pool of `workers`
-    /// executors (`None`: the serial engine, like [`Engine::new`]). The
-    /// worker count changes how each round's awake set is chunked, never
-    /// an observable result.
+    /// executors — the calling thread plus `workers - 1` spawned threads.
+    /// `None` and `Some(1)` are the serial engine, like [`Engine::new`].
+    /// The worker count changes how each round's awake set is chunked,
+    /// never an observable result.
     pub fn with_workers(graph: &'g Graph, config: Config, workers: Option<usize>) -> Self {
         Engine {
             graph,
@@ -768,7 +344,8 @@ impl<'g> Engine<'g> {
     /// steals, yields, naps and unpark storms at every claim point. The
     /// perturbations reorder only *who executes what when*, never the
     /// coordinator's chunk-order merges, so every run must stay bit-for-bit
-    /// identical to the serial engine. No effect on a serial engine.
+    /// identical to the serial engine. No effect on a serial engine, whose
+    /// rounds all run inline.
     #[cfg(test)]
     pub(crate) fn with_chaos(mut self, seed: u64) -> Self {
         self.chaos = Some(seed);
@@ -782,43 +359,54 @@ impl<'g> Engine<'g> {
         None
     }
 
-    /// The one dispatch point: run `init` on the serial loop or the
-    /// worker pool, with optional faults and checkpoint control.
+    /// Run `init` on this engine's executors, with optional faults,
+    /// checkpoint control and phase timing.
     fn start<P: Program + Send>(
         &self,
         init: Init<P>,
         faults: Option<FaultCtx<P>>,
         ctl: Option<CkptCtl<'_, P>>,
+        timing: Option<&mut PhaseTimes>,
     ) -> Result<Paused<P::Output>, SimError> {
-        if let Some(workers) = self.workers {
-            return run_threaded_core(
-                self.graph,
-                init,
-                self.config,
-                workers,
-                faults,
-                ctl,
-                None,
-                self.chaos(),
-            );
-        }
-        let exec = match init {
-            Init::Fresh(programs) => SerialExec::new(self.graph, self.config, programs, faults)?,
-            Init::Restored { programs, state } => {
-                SerialExec::from_restored(self.graph, programs, *state, faults)
-            }
-        };
-        exec.drive(ctl)
+        run_threaded_core(
+            self.graph,
+            init,
+            self.config,
+            self.workers.unwrap_or(1),
+            faults,
+            ctl,
+            timing,
+            self.chaos(),
+        )
     }
 
     /// Execute `programs` (one per node, indexed by [`NodeId`]) to completion.
     ///
     /// # Errors
     /// Any [`SimError`]; see the variants for the contract each program must
-    /// uphold. On the worker pool the error precedence is the serial one
+    /// uphold. At any worker count the error precedence is the serial one
     /// (lowest node id first).
     pub fn run<P: Program + Send>(&self, programs: Vec<P>) -> Result<Run<P::Output>, SimError> {
-        self.start(Init::Fresh(programs), None, None).map(completed)
+        self.start(Init::Fresh(programs), None, None, None)
+            .map(completed)
+    }
+
+    /// [`run`](Engine::run), accumulating per-phase wall time into
+    /// `timing` ([`PhaseTimes`]) — partition / route / deliver / merge for
+    /// rounds dispatched to the pool, a single bucket for rounds run
+    /// inline (every round of a serial engine). The probe reads the clock
+    /// only between pipeline stages on the calling thread, so the run
+    /// itself (outputs, [`Metrics`], trace) is bit-for-bit the untimed one.
+    ///
+    /// # Errors
+    /// Any [`SimError`], as [`run`](Engine::run).
+    pub fn run_timed<P: Program + Send>(
+        &self,
+        programs: Vec<P>,
+        timing: &mut PhaseTimes,
+    ) -> Result<Run<P::Output>, SimError> {
+        self.start(Init::Fresh(programs), None, None, Some(timing))
+            .map(completed)
     }
 
     /// Execute `programs` to completion under a seeded fault plan.
@@ -835,7 +423,7 @@ impl<'g> Engine<'g> {
         plan: &FaultPlan,
     ) -> Result<Run<P::Output>, SimError> {
         let faults = FaultCtx::new(*plan, CrashIo::<P>::of());
-        self.start(Init::Fresh(programs), Some(faults), None)
+        self.start(Init::Fresh(programs), Some(faults), None, None)
             .map(completed)
     }
 
@@ -865,7 +453,7 @@ impl<'g> Engine<'g> {
             encode: encode_snapshot::<P>,
             sink: &mut |_| {},
         };
-        self.start(Init::Fresh(programs), faults, Some(ctl))
+        self.start(Init::Fresh(programs), faults, Some(ctl), None)
     }
 
     /// Continue a snapshotted run to completion, bit-for-bit identical to
@@ -899,15 +487,15 @@ impl<'g> Engine<'g> {
             }));
         }
         let mut state = decode_snapshot::<P>(self.graph, snapshot, &mut programs)?;
-        let faults = state
-            .faults
-            .take()
-            .map(|s| FaultCtx::from_state(s, CrashIo::<P>::of()));
+        let faults = state.faults.take().map(|state| FaultCtx {
+            state,
+            crash_io: CrashIo::<P>::of(),
+        });
         let init = Init::Restored {
             programs,
             state: Box::new(state),
         };
-        self.start(init, faults, None)
+        self.start(init, faults, None, None)
             .map(completed)
             .map_err(ResumeError::Sim)
     }
@@ -942,20 +530,18 @@ impl<'g> Engine<'g> {
             encode: encode_snapshot::<P>,
             sink: &mut sink,
         };
-        self.start(Init::Fresh(programs), faults, Some(ctl))
+        self.start(Init::Fresh(programs), faults, Some(ctl), None)
             .map(completed)
     }
 }
 
-/// Validate and expand one node's outbox entries: the shared addressing
-/// checker of both executors. Each directed addressing is checked against
-/// the graph ([`SimError::NotANeighbor`] on the first violation, in entry
+/// Validate and expand one node's outbox entries: the addressing checker
+/// of the send phase. Each directed addressing is checked against the
+/// graph ([`SimError::NotANeighbor`] on the first violation, in entry
 /// order), broadcasts are expanded over the sender's neighbor list in
 /// adjacency order, `messages_sent` is counted, and every transmission is
-/// handed to `transmit(to, msg)` — the caller decides delivery (arena
-/// staging on the serial engine, owner-shard staging inside the threaded
-/// executor's workers). Because expansion order and error precedence live
-/// here, the two executors count and order identically by construction.
+/// handed to `transmit(to, msg)` — the caller decides its fate and
+/// delivery.
 pub(crate) fn route_entries<M: Clone>(
     graph: &Graph,
     entries: impl Iterator<Item = crate::program::OutEntry<M>>,
@@ -984,125 +570,10 @@ pub(crate) fn route_entries<M: Clone>(
     Ok(())
 }
 
-/// Route one node's outbox entries on the serial engine: validate through
-/// [`route_entries`], then stage every transmitted message into the arena
-/// (or count it lost).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn route_messages<M: Clone>(
-    graph: &Graph,
-    entries: impl Iterator<Item = crate::program::OutEntry<M>>,
-    next_wake: &[Round],
-    round: Round,
-    from: NodeId,
-    arena: &mut InboxArena<M>,
-    metrics: &mut Metrics,
-    tracer: &mut Tracer,
-) -> Result<(), SimError> {
-    let mut sent = 0u64;
-    let mut delivered = 0u64;
-    let mut lost = 0u64;
-    let result = route_entries(graph, entries, from, &mut sent, |to, msg| {
-        // A recipient is listening iff it is awake at exactly this round.
-        if next_wake[to.index()] == round {
-            delivered += 1;
-            tracer.push(|| TraceEvent::Delivered { round, from, to });
-            arena.stage(from, to, msg);
-        } else {
-            lost += 1;
-            tracer.push(|| TraceEvent::Lost { round, from, to });
-        }
-    });
-    metrics.messages_sent += sent;
-    metrics.messages_delivered += delivered;
-    metrics.messages_lost += lost;
-    result
-}
-
-/// [`route_messages`] under a fault plan: every transmission first rolls
-/// its fate — keyed by `(seed, round, endpoints, k)` where `k` is the
-/// sender's per-round transmission index, so the threaded executor rolls
-/// identical fates regardless of chunking. Dropped messages vanish (traced
-/// and counted as `faults_dropped`, *not* `messages_lost`), duplicates
-/// deliver two copies (each then subject to the awake-recipient rule),
-/// delayed messages enter the buffer for later resolution.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn route_messages_faulty<M: Clone>(
-    graph: &Graph,
-    entries: impl Iterator<Item = crate::program::OutEntry<M>>,
-    next_wake: &[Round],
-    round: Round,
-    from: NodeId,
-    arena: &mut InboxArena<M>,
-    metrics: &mut Metrics,
-    tracer: &mut Tracer,
-    fstate: &mut FaultState<M>,
-) -> Result<(), SimError> {
-    let plan = fstate.plan;
-    let mut sent = 0u64;
-    let mut delivered = 0u64;
-    let mut lost = 0u64;
-    let mut fdropped = 0u64;
-    let mut fduplicated = 0u64;
-    let mut fdelayed = 0u64;
-    let mut k = 0u32;
-    let delayed = &mut fstate.delayed;
-    let result = route_entries(graph, entries, from, &mut sent, |to, msg| {
-        let fate = plan.message_fate(round, from.0, to.0, k);
-        k += 1;
-        let mut deliver_copy = |m: M| {
-            if next_wake[to.index()] == round {
-                delivered += 1;
-                tracer.push(|| TraceEvent::Delivered { round, from, to });
-                arena.stage(from, to, m);
-            } else {
-                lost += 1;
-                tracer.push(|| TraceEvent::Lost { round, from, to });
-            }
-        };
-        match fate {
-            crate::faults::FaultKind::Deliver => deliver_copy(msg),
-            crate::faults::FaultKind::Duplicate => {
-                fduplicated += 1;
-                deliver_copy(msg.clone());
-                deliver_copy(msg);
-            }
-            crate::faults::FaultKind::Drop => {
-                let _ = deliver_copy; // end the closure's borrows for the tracer below
-                fdropped += 1;
-                tracer.push(|| TraceEvent::FaultDrop { round, from, to });
-            }
-            crate::faults::FaultKind::Delay => {
-                let _ = deliver_copy; // end the closure's borrows for the tracer below
-                fdelayed += 1;
-                let until = round + plan.delay_rounds;
-                tracer.push(|| TraceEvent::FaultDelay {
-                    round,
-                    from,
-                    to,
-                    until,
-                });
-                delayed.push(DelayedMsg {
-                    due: until,
-                    from,
-                    to,
-                    msg,
-                });
-            }
-        }
-    });
-    metrics.messages_sent += sent;
-    metrics.messages_delivered += delivered;
-    metrics.messages_lost += lost;
-    metrics.faults_dropped += fdropped;
-    metrics.faults_duplicated += fduplicated;
-    metrics.faults_delayed += fdelayed;
-    result
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::program::Envelope;
+    use crate::program::{Action, Envelope, Outbox, View};
     use awake_graphs::generators;
 
     /// Broadcasts ident at round 1; collects neighbor idents; halts.

@@ -86,22 +86,23 @@
 //! queue at all: nodes staying awake ride a pre-sorted *stay lane* straight
 //! into the next round's awake set.
 //!
-//! Two executors share these mechanics, and [`Engine`] picks one when it
-//! is built: [`Engine::new`] is the serial round loop, and
-//! [`Engine::with_workers`] a persistent worker pool over degree-weighted
+//! There is one executor and one round body. [`Engine::new`] runs every
+//! round inline on the calling thread; [`Engine::with_workers`] runs the
+//! same round body on a persistent worker pool over degree-weighted
 //! contiguous chunks of the awake set, with message routing and inbox
 //! construction running *inside* the workers through owner-sharded
 //! delivery buffers (see the [`threaded`] module docs for the pipeline).
-//! Every `Engine` method dispatches on that choice, and the two are
-//! required to agree **bit for bit**, outputs and [`Metrics`] alike, for
-//! deterministic programs.
+//! The serial engine is the pool's one-executor path, so the worker count
+//! changes how a round is chunked, never a result: outputs and
+//! [`Metrics`] agree **bit for bit** at every worker count, and the
+//! integration tests check both against a naive reference stepper.
 //!
 //! # Checkpointing and fault injection
 //!
-//! Both executors can pause at any round boundary into a versioned binary
+//! An engine can pause at any round boundary into a versioned binary
 //! [`Snapshot`] ([`Engine::snapshot_at`]) and resume it later
-//! ([`Engine::resume`]) — on either executor, at any worker count — to a run
-//! bit-for-bit identical to the uninterrupted one; per-node program state
+//! ([`Engine::resume`]) — at any worker count — to a run bit-for-bit
+//! identical to the uninterrupted one; per-node program state
 //! travels through the [`Persist`] trait. A seeded [`FaultPlan`]
 //! deterministically drops, duplicates, and delays messages and
 //! crash-restarts nodes from their start-of-round state, with per-fault

@@ -133,6 +133,19 @@ impl Metrics {
         self.span_counts[id][v.index()] += 1;
     }
 
+    /// Record one awake round for each of `nodes`, all attributed to
+    /// `span` (interned once for the whole run of nodes).
+    #[inline]
+    pub(crate) fn note_awake_all(&mut self, nodes: &[u32], span: &'static str) {
+        let id = self.span_id(span);
+        self.awake_events += nodes.len() as u64;
+        let counts = &mut self.span_counts[id];
+        for &v in nodes {
+            self.awake[v as usize] += 1;
+            counts[v as usize] += 1;
+        }
+    }
+
     /// The awake complexity: `max_v` (#rounds `v` was awake).
     pub fn max_awake(&self) -> u64 {
         self.awake.iter().copied().max().unwrap_or(0)
@@ -199,8 +212,10 @@ impl Metrics {
     }
 }
 
-/// Coordinator-side wall-clock attribution for the threaded executor's
-/// pipeline, collected by [`crate::threaded::run_threaded_timed`].
+/// Coordinator-side wall-clock attribution of the executor's round
+/// pipeline, collected by [`Engine::run_timed`](crate::Engine::run_timed).
+/// A serial engine runs every round inline, so its whole run lands in
+/// `partition_ns` and `inline_ns`.
 ///
 /// The accumulators are nanosecond totals over the whole run; the
 /// `*_ns_per_round` accessors divide by the number of rounds that actually

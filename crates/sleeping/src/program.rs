@@ -67,12 +67,7 @@ pub struct Outbox<M> {
 }
 
 impl<M> Outbox<M> {
-    /// An empty outbox (executors construct and reuse these).
-    pub(crate) fn new() -> Self {
-        Outbox { items: Vec::new() }
-    }
-
-    /// Wrap an existing backing buffer (worker pools recycle buffers).
+    /// Wrap an existing backing buffer (executors recycle buffers).
     pub(crate) fn from_vec(items: Vec<OutEntry<M>>) -> Self {
         Outbox { items }
     }
@@ -237,7 +232,7 @@ mod tests {
 
     #[test]
     fn outbox_accumulates_and_clears_without_reallocating() {
-        let mut ob: Outbox<u32> = Outbox::new();
+        let mut ob: Outbox<u32> = Outbox::from_vec(Vec::new());
         ob.to(NodeId(1), 10);
         ob.broadcast(20);
         ob.push(Outgoing::To(NodeId(2), 30));

@@ -1,25 +1,30 @@
-//! A multi-threaded executor with an owner-sharded parallel delivery
-//! pipeline over a persistent worker pool.
+//! The executor behind every [`Engine`](crate::Engine): one round body,
+//! run on the coordinator alone or on a persistent worker pool.
 //!
-//! It has no entry points of its own: an engine built with
-//! [`Engine::with_workers`](crate::Engine::with_workers) runs every
-//! [`Engine`](crate::Engine) method — plain, faulty, snapshot, resume,
-//! checkpointed — on this pool, and [`run_threaded_timed`] adds per-phase
-//! timing. The serial engine is the reference implementation; this
-//! executor demonstrates that the [`Program`] abstraction maps onto real
-//! parallel hardware without giving up determinism: the two executors
-//! agree **bit for bit** — equal outputs *and* equal [`Metrics`] — which
-//! the integration tests assert at every worker count.
+//! There are no entry points here: [`Engine::new`](crate::Engine::new)
+//! and [`Engine::with_workers`](crate::Engine::with_workers) choose the
+//! executor count once (`None` and `Some(1)` are the same one-executor
+//! engine), and every [`Engine`](crate::Engine) method — plain, faulty,
+//! timed, snapshot, resume, checkpointed — runs on this pool. The serial
+//! engine *is* the pool's one-executor path: every round runs inline on
+//! the coordinator through the same phase functions the workers run, so
+//! the worker count changes how a round is chunked, never an observable
+//! result. All executor counts agree **bit for bit** — equal outputs,
+//! [`Metrics`], trace and snapshot bytes — and the naive reference stepper
+//! in `crates/sleeping/tests/equivalence.rs`, an independent
+//! implementation of the model's round semantics, is the oracle they are
+//! tested against.
 //!
 //! # Design
 //!
-//! `workers` threads are spawned once per run and live across all rounds.
-//! Each round the sorted awake set is split into at most `workers`
-//! contiguous chunks at **equal degree-mass boundaries** (prefix sum over
-//! `degree + 1` of the awake set), so a handful of hubs cannot serialize a
-//! round the way count-based chunking would. Message routing and inbox
-//! construction happen **inside the workers**; the coordinator is reduced
-//! to synchronization and a deterministic merge:
+//! `workers` executors (the coordinator plus `workers - 1` spawned
+//! threads) live across all rounds of a run. Each round the sorted awake
+//! set is split into at most `workers` contiguous chunks at **equal
+//! degree-mass boundaries** (prefix sum over `degree + 1` of the awake
+//! set), so a handful of hubs cannot serialize a round the way
+//! count-based chunking would. Message routing and inbox construction
+//! happen **inside the executors**; the coordinator is reduced to
+//! synchronization and a deterministic merge:
 //!
 //! ```text
 //!  coordinator                       executor e (coordinator or worker)
@@ -50,8 +55,7 @@
 //! moment the *last* send contribution for it lands (`pending` countdown),
 //! while other chunks' sends are still running; idle executors steal
 //! whatever descriptor is READY. The coordinator itself executes
-//! descriptors while it waits, so `workers = 1` spawns no threads and
-//! `workers = w` has `w` executors (`w - 1` spawned).
+//! descriptors while it waits, so `workers = 1` spawns no threads.
 //!
 //! Determinism survives stealing because of four invariants:
 //!
@@ -64,37 +68,49 @@
 //! * **Chunks are contiguous in node order** and senders within a chunk
 //!   transmit in ascending order, so draining a recipient's incoming
 //!   cells in source-chunk index order concatenates already-sorted runs
-//!   — every inbox is born sorted by sender, exactly like the serial
-//!   arena's.
+//!   — every inbox is born sorted by sender.
 //! * **All merges happen coordinator-side in chunk index order** (= node
 //!   order): awake/span attribution, message tallies, stay-lane
-//!   extension, batched wheel `schedule_all` and halt outputs — identical
-//!   to the serial engine's per-node order, whatever order descriptors
+//!   extension, batched wheel `schedule_all` and halt outputs — the
+//!   per-node order of a single chunk, whatever order descriptors
 //!   actually executed in.
 //! * **Error precedence is by lowest node id**: an executor stops at its
 //!   chunk's first error and raises a run-wide abort flag (sequenced
 //!   before its pending countdown, so no receive descriptor can open on
 //!   an aborting round); the coordinator consumes results in chunk order
 //!   and surfaces the first error of the lowest-indexed chunk — the error
-//!   the serial engine would hit.
+//!   a single chunk would hit.
 //!
 //! Batches, shard buffers and exchange cells recycle their capacity
 //! (swaps only — payloads never move), executor-local segment pools are
 //! retained across rounds: the steady state allocates nothing per
-//! node-round. Rounds whose total degree mass is tiny (see `INLINE_MASS`)
-//! run **inline** on the coordinator through the very same phase
-//! functions — skip-ahead schedules spend most rounds waking a handful of
-//! nodes, where descriptor traffic would dwarf the work; the inline path
-//! is a single-chunk instance of the same pipeline, so results are
-//! identical by construction.
+//! node-round.
+//!
+//! # The inline path
+//!
+//! Rounds whose total degree mass is tiny (see `INLINE_MASS`), and every
+//! round of a one-executor engine, run **inline** on the coordinator as a
+//! single chunk: no descriptors, and none of the traffic a chunk needs to
+//! travel between executors. Programs run in place instead of moving
+//! through a batch, and each delivered message is pushed straight into
+//! its recipient's inbox segment (keyed by node) instead of an owner
+//! shard. The phase functions are the same ones a descriptor runs —
+//! `Jobs` abstracts where a chunk's programs and inbox segments live, a
+//! staging closure where its messages go — so the inline path is a
+//! single-chunk instance of the pipeline, identical by construction.
 //!
 //! Tracing rides the same merge discipline: when [`Config::trace`] is on,
-//! each descriptor stages its chunk's [`TraceEvent`]s in node order
-//! (awake → per-message delivered/lost in the send phase; sleep/halt in
-//! the receive phase) and the coordinator absorbs the staged buffers **in
+//! each chunk stages its [`TraceEvent`]s in node order (awake →
+//! per-message delivered/lost in the send phase; sleep/halt in the
+//! receive phase) and the coordinator absorbs the staged buffers **in
 //! chunk order** through the shared capped tracer — so [`Run::trace`]
-//! (and [`Run::trace_dropped`]) is bit-identical to the serial engine's
-//! at any worker count.
+//! (and [`Run::trace_dropped`]) is bit-identical at any worker count.
+//!
+//! A panic on any executor — a program panicking in `send`, say —
+//! propagates to the caller: an unwind guard on every executor raises
+//! shutdown and wakes the others, and a waiting coordinator checks the
+//! pool's poisoned flag instead of waiting forever on a descriptor the
+//! panicked executor will never finish.
 //!
 //! A seeded chaos hook (test-only, set with `Engine::with_chaos`) perturbs
 //! scheduling at every claim point — forced steals, yields, parks, unpark
@@ -102,12 +118,8 @@
 //! those interleavings too; see `ChaosPlan`.
 
 use crate::arena::ChunkInboxes;
-use crate::checkpoint::{
-    rebuild_wheel, CrashIo, EngineStateRef, Paused, ProgramsRef, Reader, Snapshot, Writer,
-};
-use crate::engine::{
-    completed, next_awake_set, route_entries, seed_schedule, CkptCtl, FaultCtx, Init, NEVER,
-};
+use crate::checkpoint::{rebuild_wheel, CrashIo, EngineStateRef, Paused, Reader, Snapshot, Writer};
+use crate::engine::{next_awake_set, route_entries, seed_schedule, CkptCtl, FaultCtx, Init, NEVER};
 use crate::faults::{DelayedMsg, FaultKind, FaultPlan};
 use crate::metrics::{Metrics, PhaseTimes};
 use crate::program::{Action, Envelope, OutEntry, Outbox, Program, View};
@@ -116,12 +128,12 @@ use crate::wheel::WakeWheel;
 use crate::{Config, Round, Run, SimError};
 use awake_graphs::{Graph, NodeId};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Mutex, RwLock};
+use std::sync::{Mutex, PoisonError, RwLock};
 use std::thread::{self, Thread};
 use std::time::{Duration, Instant};
 
-/// One delivered message in an outbound owner shard: the recipient's dense
-/// position within its owner chunk, plus the envelope to deliver.
+/// One delivered message bound for a chunk: the recipient's inbox segment
+/// in that chunk (see [`Jobs::seg`]), plus the envelope to deliver.
 struct ShardEntry<M> {
     to_local: u32,
     env: Envelope<M>,
@@ -138,25 +150,29 @@ struct ShardEntry<M> {
 struct RoundCtx {
     /// `next_wake[v] = r`: `v` wakes at round `r`; [`NEVER`]: halted.
     next_wake: Vec<Round>,
-    /// Position of `v` in this round's awake set; only meaningful when
-    /// `next_wake[v]` equals the current round (the stamp that guards it).
+    /// Dispatched rounds: position of `v` in this round's awake set; only
+    /// meaningful when `next_wake[v]` equals the current round (the stamp
+    /// that guards it).
     awake_pos: Vec<u32>,
-    /// Chunk boundaries as positions into the awake set: chunk `c` owns
-    /// positions `bounds[c]..bounds[c+1]`. Strictly increasing,
-    /// `bounds[0] = 0`, last entry = awake length.
+    /// Dispatched rounds: chunk boundaries as positions into the awake
+    /// set — chunk `c` owns positions `bounds[c]..bounds[c+1]`. Strictly
+    /// increasing, `bounds[0] = 0`, last entry = awake length.
     bounds: Vec<u32>,
-    /// Owner chunk per awake position — one O(1) lookup on the message
-    /// staging hot path instead of a `partition_point` binary search per
-    /// delivered message. Filled in the same pass that stamps
-    /// [`awake_pos`](Self::awake_pos).
+    /// Dispatched rounds: owner chunk per awake position — one O(1)
+    /// lookup on the message staging hot path instead of a
+    /// `partition_point` binary search per delivered message. Filled in
+    /// the same pass that stamps [`awake_pos`](Self::awake_pos).
     chunk: Vec<u32>,
 }
 
 impl RoundCtx {
-    /// The owner chunk of awake position `pos`.
+    /// The owner chunk of awake node `to` and its position within that
+    /// chunk (dispatched rounds).
     #[inline]
-    fn chunk_of(&self, pos: u32) -> usize {
-        self.chunk[pos as usize] as usize
+    fn owner(&self, to: NodeId) -> (usize, u32) {
+        let pos = self.awake_pos[to.index()];
+        let c = self.chunk[pos as usize] as usize;
+        (c, pos - self.bounds[c])
     }
 }
 
@@ -203,11 +219,12 @@ fn partition_by_mass(prefix: &[u64], k: usize, bounds: &mut Vec<u32>) {
     bounds.push(prefix.len() as u32);
 }
 
-/// The fault hooks a worker needs per round: the (immutable) seeded plan
-/// plus the [`Persist`] entry points of the concrete program type as
-/// function pointers (see [`CrashIo`]), so the phase bodies carry no
-/// `Persist` bound. Copied into each batch; the mutable fault state (the
-/// delayed-message buffer) stays with the coordinator.
+/// The fault hooks a phase needs per round: the (immutable) seeded plan
+/// plus the [`Persist`](crate::Persist) entry points of the concrete
+/// program type as function pointers (see [`CrashIo`]), so the phase
+/// bodies carry no `Persist` bound. Copied into each chunk's phase state;
+/// the mutable fault state (the delayed-message buffer) stays with the
+/// coordinator.
 struct FaultHooks<P: Program> {
     plan: FaultPlan,
     crash_io: CrashIo<P>,
@@ -220,17 +237,18 @@ impl<P: Program> Clone for FaultHooks<P> {
 }
 impl<P: Program> Copy for FaultHooks<P> {}
 
-/// What one chunk's send descriptor hands back to the coordinator: span
+/// What one chunk's send phase hands back to the coordinator: span
 /// attribution, message tallies, staged trace events, delayed messages,
-/// and the chunk's first error. Published through the slot's `results`
-/// mutex the instant the descriptor completes (separately from the parked
-/// batch, so the coordinator can merge in chunk order while the batch
-/// buffers wait for the receive descriptor), and drained coordinator-side
-/// — the buffers recycle their capacity across rounds.
+/// and the chunk's first error. A send descriptor publishes it through the
+/// slot's `results` mutex the instant it completes (separately from the
+/// parked batch, so the coordinator can merge in chunk order while the
+/// batch buffers wait for the receive descriptor); it is drained
+/// coordinator-side and recycles its capacity across rounds.
 struct SendResults<P: Program> {
-    /// Per-job `(node, span)`, captured before `send` exactly as the
-    /// serial engine attributes it, in the chunk's node order.
-    node_spans: Vec<(u32, &'static str)>,
+    /// Span attribution, captured before `send`: runs of `(span, nodes)`
+    /// covering the chunk's awake nodes in order — consecutive nodes with
+    /// the same span share one run, so a uniform chunk costs one entry.
+    spans: Vec<(&'static str, u32)>,
     /// Message tallies of this chunk.
     sent: u64,
     delivered: u64,
@@ -243,8 +261,8 @@ struct SendResults<P: Program> {
     /// transmission order; the coordinator appends them (chunk order =
     /// node order) to the run's delayed buffer.
     delayed_out: Vec<DelayedMsg<P::Msg>>,
-    /// Events staged by the send phase, in the serial engine's per-node
-    /// order; absorbed by the coordinator in chunk order.
+    /// Events staged by the send phase, in per-node order; absorbed by the
+    /// coordinator in chunk order.
     trace: Vec<TraceEvent>,
     /// First error of this chunk, in node order (execution stops there).
     error: Option<SimError>,
@@ -253,7 +271,7 @@ struct SendResults<P: Program> {
 impl<P: Program> SendResults<P> {
     fn new() -> Self {
         SendResults {
-            node_spans: Vec::new(),
+            spans: Vec::new(),
             sent: 0,
             delivered: 0,
             lost: 0,
@@ -267,24 +285,16 @@ impl<P: Program> SendResults<P> {
     }
 }
 
-/// One chunk's reusable unit of work: a contiguous chunk of the awake set
-/// plus the buffers that carry its phase results back to the coordinator.
-/// Parked in its chunk's [`ChunkSlot`] between executions; whichever
-/// executor claims the descriptor takes the batch, runs the phase, and
-/// parks it back — batches are chunk-addressed, never worker-addressed.
-struct Batch<P: Program> {
+/// One chunk's state across the two phases of a round: the round's
+/// inputs, the phase bodies' scratch, and the partials they hand back to
+/// the coordinator. A dispatched chunk carries it in its [`Batch`]; the
+/// inline path keeps one of its own.
+struct Phases<P: Program> {
     round: Round,
-    /// The chunk's `(node, program)` pairs, ascending by node.
-    jobs: Vec<(u32, P)>,
-    /// Recycled backing buffer of the executor-side outbox.
+    /// Recycled backing buffer of the phase's outbox.
     out_items: Vec<OutEntry<P::Msg>>,
-    /// Send-phase results, published through the slot on completion.
+    /// Send-phase results.
     res: SendResults<P>,
-    /// Send phase: outbound messages sharded by the recipient's owner
-    /// chunk. On completion each shard is swapped into the exchange cell
-    /// `(this chunk, owner chunk)`, taking back the (drained) buffer the
-    /// cell held — capacity circulates between batches and cells.
-    shards: Vec<Vec<ShardEntry<P::Msg>>>,
     /// Fault plan + crash I/O of the run; `None` for fault-free runs.
     faults: Option<FaultHooks<P>>,
     /// Receive result: crash-restarts applied in this chunk.
@@ -294,15 +304,16 @@ struct Batch<P: Program> {
     /// is saved *before* the node acts), consumed by the receive phase.
     crashes: Vec<(u32, Vec<u8>)>,
     /// Receive result: nodes of this chunk that crash-restarted this
-    /// round, ascending. [`Batch::stays`] conflates crashed nodes with
+    /// round, ascending. [`Phases::stays`] conflates crashed nodes with
     /// voluntary stays, so the coordinator's recovery accounting needs the
     /// crashed set separately.
     crashed_nodes: Vec<u32>,
     /// Fault-delayed messages coming due this round for recipients in this
-    /// chunk, staged by the coordinator between the phases (the batch is
-    /// parked then — faulty rounds gate receives on the coordinator); the
-    /// receive phase delivers them after the regular shards and restores
-    /// each touched inbox's sorted-by-sender invariant.
+    /// chunk, staged by the coordinator between the phases (a dispatched
+    /// batch is parked then — faulty rounds gate receives on the
+    /// coordinator); the receive phase delivers them after the regular
+    /// deliveries and restores each touched inbox's sorted-by-sender
+    /// invariant.
     late: Vec<ShardEntry<P::Msg>>,
     /// Scratch: chunk positions touched by late deliveries.
     late_locals: Vec<u32>,
@@ -317,20 +328,18 @@ struct Batch<P: Program> {
     error: Option<SimError>,
     /// Whether to stage trace events (set from the run's [`Config::trace`]).
     trace_on: bool,
-    /// Receive-phase events staged by this chunk, in the serial engine's
-    /// per-node order; absorbed by the coordinator in chunk order.
+    /// Receive-phase events staged by this chunk, in per-node order;
+    /// absorbed by the coordinator in chunk order.
     trace: Vec<TraceEvent>,
 }
 
-impl<P: Program> Batch<P> {
-    fn new() -> Self {
-        Batch {
+impl<P: Program> Phases<P> {
+    fn new(faults: Option<FaultHooks<P>>, trace_on: bool) -> Self {
+        Phases {
             round: 0,
-            jobs: Vec::new(),
             out_items: Vec::new(),
             res: SendResults::new(),
-            shards: Vec::new(),
-            faults: None,
+            faults,
             fcrashed: 0,
             crashes: Vec::new(),
             crashed_nodes: Vec::new(),
@@ -340,9 +349,89 @@ impl<P: Program> Batch<P> {
             sleeps: Vec::new(),
             halts: Vec::new(),
             error: None,
-            trace_on: false,
+            trace_on,
             trace: Vec::new(),
         }
+    }
+}
+
+/// One dispatched chunk's reusable unit of work: its programs, its
+/// outbound shards and its [`Phases`]. Parked in its chunk's [`ChunkSlot`]
+/// between executions; whichever executor claims the descriptor takes the
+/// batch, runs the phase, and parks it back — batches are chunk-addressed,
+/// never worker-addressed.
+struct Batch<P: Program> {
+    /// The chunk's `(node, program)` pairs, ascending by node, moved out
+    /// of the coordinator's program slots for the round.
+    jobs: Vec<(u32, P)>,
+    /// Send phase: outbound messages sharded by the recipient's owner
+    /// chunk. On completion each shard is swapped into the exchange cell
+    /// `(this chunk, owner chunk)`, taking back the (drained) buffer the
+    /// cell held — capacity circulates between batches and cells.
+    shards: Vec<Vec<ShardEntry<P::Msg>>>,
+    ph: Phases<P>,
+}
+
+/// A chunk's awake nodes, their programs and their inbox segments, as the
+/// phase bodies see them: `job(i)` is the chunk's `i`-th awake node
+/// (ascending) and its program, `seg(i, v)` the segment its inbox is
+/// built in. A dispatched chunk owns its programs for the round
+/// (`Vec<(u32, P)>`, so executors can run chunks in parallel) and keys
+/// its segments by position in the chunk, so an executor never pays for
+/// nodes it does not run; the inline path runs the programs in place
+/// ([`InPlace`]) and keys segments by node, so delivering a message needs
+/// no position lookup.
+trait Jobs<P> {
+    fn len(&self) -> usize;
+    fn job(&mut self, i: usize) -> (u32, &mut P);
+    fn seg(i: usize, v: u32) -> usize;
+    /// How many segments the keys range over.
+    fn segs(&self) -> usize;
+}
+
+impl<P> Jobs<P> for Vec<(u32, P)> {
+    #[inline]
+    fn len(&self) -> usize {
+        Vec::len(self)
+    }
+    #[inline]
+    fn job(&mut self, i: usize) -> (u32, &mut P) {
+        let (v, p) = &mut self[i];
+        (*v, p)
+    }
+    #[inline]
+    fn seg(i: usize, _: u32) -> usize {
+        i
+    }
+    fn segs(&self) -> usize {
+        Vec::len(self)
+    }
+}
+
+/// The inline path's jobs: the whole awake set, with the programs left in
+/// the coordinator's slots.
+struct InPlace<'a, P> {
+    awake: &'a [u32],
+    slots: &'a mut [Option<P>],
+}
+
+impl<P> Jobs<P> for InPlace<'_, P> {
+    #[inline]
+    fn len(&self) -> usize {
+        self.awake.len()
+    }
+    #[inline]
+    fn job(&mut self, i: usize) -> (u32, &mut P) {
+        let v = self.awake[i];
+        let p = self.slots[v as usize].as_mut().expect("program present");
+        (v, p)
+    }
+    #[inline]
+    fn seg(_: usize, v: u32) -> usize {
+        v as usize
+    }
+    fn segs(&self) -> usize {
+        self.slots.len()
     }
 }
 
@@ -388,12 +477,16 @@ struct ChunkSlot<P: Program> {
 }
 
 impl<P: Program> ChunkSlot<P> {
-    fn new() -> Self {
+    fn new(faults: Option<FaultHooks<P>>, trace_on: bool) -> Self {
         ChunkSlot {
             send_state: AtomicUsize::new(DONE),
             recv_state: AtomicUsize::new(DONE),
             pending: AtomicUsize::new(0),
-            batch: Mutex::new(Some(Batch::new())),
+            batch: Mutex::new(Some(Batch {
+                jobs: Vec::new(),
+                shards: Vec::new(),
+                ph: Phases::new(faults, trace_on),
+            })),
             results: Mutex::new(SendResults::new()),
         }
     }
@@ -494,6 +587,9 @@ struct StealPool<'g, P: Program> {
     /// hit an error: no receive descriptor opens on an aborting round.
     abort: AtomicBool,
     shutdown: AtomicBool,
+    /// Raised by an executor unwinding from a panic: whatever descriptor
+    /// it held will never reach DONE, so the coordinator stops waiting.
+    poisoned: AtomicBool,
     /// Every executor's thread handle, for unpark storms. Executors
     /// register before their first scan, so a registered executor never
     /// misses a wakeup: state stores happen before `unpark_all`, and a
@@ -516,9 +612,29 @@ impl<P: Program> StealPool<'_, P> {
     }
 
     fn unpark_all(&self) {
-        for t in self.registry.lock().expect("registry lock").iter() {
+        // Also called while unwinding (see `Shutdown`), where a second
+        // panic would abort: read through a poisoned lock.
+        let registry = self.registry.lock().unwrap_or_else(PoisonError::into_inner);
+        for t in registry.iter() {
             t.unpark();
         }
+    }
+}
+
+/// Every executor's exit, normal or unwinding: raise shutdown and wake
+/// every executor, so spawned workers leave their park and the scope can
+/// join them; an unwinding exit also poisons the pool, so a coordinator
+/// waiting on the panicked executor's descriptor panics in turn instead
+/// of waiting forever.
+struct Shutdown<'a, 'g, P: Program>(&'a StealPool<'g, P>);
+
+impl<P: Program> Drop for Shutdown<'_, '_, P> {
+    fn drop(&mut self) {
+        if thread::panicking() {
+            self.0.poisoned.store(true, Ordering::SeqCst);
+        }
+        self.0.shutdown.store(true, Ordering::SeqCst);
+        self.0.unpark_all();
     }
 }
 
@@ -560,11 +676,18 @@ fn execute_send<P: Program>(pool: &StealPool<'_, P>, c: usize, k: usize, ex: &mu
         .expect("batch slot lock")
         .take()
         .expect("claimed send descriptor has a parked batch");
+    if b.shards.len() < k {
+        b.shards.resize_with(k, Vec::new);
+    }
     {
         let ctx = pool.ctx.read().expect("round context lock");
-        run_send_phase(pool.graph, &ctx, &mut b);
+        let shards = &mut b.shards;
+        run_send_phase(pool.graph, &ctx, &mut b.ph, &mut b.jobs, |to, env| {
+            let (owner, to_local) = ctx.owner(to);
+            shards[owner].push(ShardEntry { to_local, env });
+        });
     }
-    if b.res.error.is_some() {
+    if b.ph.res.error.is_some() {
         // Raised before the pending decrements below: SeqCst makes the
         // store visible to whichever executor decrements a gate to zero,
         // so no receive descriptor ever opens on an aborting round.
@@ -580,7 +703,7 @@ fn execute_send<P: Program>(pool: &StealPool<'_, P>, c: usize, k: usize, ex: &mu
     }
     {
         let mut r = slot.results.lock().expect("send results lock");
-        std::mem::swap(&mut *r, &mut b.res);
+        std::mem::swap(&mut *r, &mut b.ph.res);
     }
     *slot.batch.lock().expect("batch slot lock") = Some(b);
     slot.send_state.store(DONE, Ordering::SeqCst);
@@ -618,10 +741,11 @@ fn execute_receive<P: Program>(
     chaos_pulse(pool, ex);
     for src in 0..k {
         let mut cell = pool.cell(src, c).lock().expect("exchange cell lock");
-        ex.inboxes
-            .extend_from(cell.drain(..).map(|e| (e.to_local, e.env)));
+        for e in cell.drain(..) {
+            ex.inboxes.push(e.to_local, e.env);
+        }
     }
-    run_receive_phase(pool.graph, &mut b, &mut ex.inboxes);
+    run_receive_phase(pool.graph, &mut b.ph, &mut b.jobs, &mut ex.inboxes);
     *slot.batch.lock().expect("batch slot lock") = Some(b);
     slot.recv_state.store(DONE, Ordering::SeqCst);
     pool.unpark_all();
@@ -685,6 +809,9 @@ const COORD_NAP: Duration = Duration::from_micros(200);
 
 /// Coordinator-side wait for a descriptor to reach DONE, stealing
 /// whatever other descriptors are READY in the meantime.
+///
+/// # Panics
+/// If another executor panicked: its descriptor will never finish.
 fn wait_done<P: Program>(pool: &StealPool<'_, P>, ex: &mut ExecCtx<P::Msg>, c: usize, recv: bool) {
     loop {
         let state = if recv {
@@ -695,6 +822,10 @@ fn wait_done<P: Program>(pool: &StealPool<'_, P>, ex: &mut ExecCtx<P::Msg>, c: u
         if state.load(Ordering::SeqCst) == DONE {
             return;
         }
+        assert!(
+            !pool.poisoned.load(Ordering::SeqCst),
+            "an executor of the worker pool panicked"
+        );
         if try_execute(pool, ex) {
             continue;
         }
@@ -702,10 +833,10 @@ fn wait_done<P: Program>(pool: &StealPool<'_, P>, ex: &mut ExecCtx<P::Msg>, c: u
     }
 }
 
-/// Stage one fated-to-arrive message: deliver into the outbound shard of
-/// the recipient's owner chunk if the recipient is awake exactly now,
-/// otherwise count it lost — the model's rule, shared by the regular and
-/// duplicate delivery paths of the send phase.
+/// Stage one fated-to-arrive message if its recipient is awake exactly
+/// now — handing `stage` the recipient and the envelope — otherwise count
+/// it lost: the model's rule, shared by the regular and duplicate
+/// delivery paths of the send phase.
 #[allow(clippy::too_many_arguments)]
 #[inline]
 fn stage_delivery<M>(
@@ -714,7 +845,7 @@ fn stage_delivery<M>(
     from: NodeId,
     to: NodeId,
     msg: M,
-    shards: &mut [Vec<ShardEntry<M>>],
+    stage: &mut impl FnMut(NodeId, Envelope<M>),
     delivered: &mut u64,
     lost: &mut u64,
     trace_on: bool,
@@ -725,12 +856,7 @@ fn stage_delivery<M>(
         if trace_on {
             trace.push(TraceEvent::Delivered { round, from, to });
         }
-        let pos = ctx.awake_pos[to.index()];
-        let c = ctx.chunk_of(pos);
-        shards[c].push(ShardEntry {
-            to_local: pos - ctx.bounds[c],
-            env: Envelope { from, msg },
-        });
+        stage(to, Envelope { from, msg });
     } else {
         *lost += 1;
         if trace_on {
@@ -739,68 +865,71 @@ fn stage_delivery<M>(
     }
 }
 
-/// The send-phase body: run each job's `send`, validate and expand its
-/// entries through the shared checker, and stage every delivered message
-/// into the outbound shard of the recipient's owner chunk. Fills the
-/// batch's span/tally/error partials. Called by the workers and — for
-/// rounds too small to be worth dispatching — inline by the coordinator,
-/// so both paths are the same code by construction.
-fn run_send_phase<P: Program>(graph: &Graph, ctx: &RoundCtx, b: &mut Batch<P>) {
-    // Monomorphized on fault presence, like the serial `step`: with
-    // `FAULTY = false` the fate-roll closure below is dead code and the
-    // fault-free send loop optimizes as if fault injection didn't exist.
-    if b.faults.is_some() {
-        run_send_phase_body::<P, true>(graph, ctx, b);
+/// The send phase of one chunk: run each job's `send`, validate and
+/// expand its entries through the shared checker, and hand every
+/// delivered message to `stage` (the recipient plus the envelope). Fills
+/// the chunk's span/tally/error partials. A send descriptor stages into
+/// owner shards; the inline path straight into the recipients' inbox
+/// segments.
+fn run_send_phase<P: Program, J: Jobs<P>>(
+    graph: &Graph,
+    ctx: &RoundCtx,
+    ph: &mut Phases<P>,
+    jobs: &mut J,
+    stage: impl FnMut(NodeId, Envelope<P::Msg>),
+) {
+    // Monomorphized on fault presence: with `FAULTY = false` the
+    // fate-roll closure below is dead code and the fault-free send loop
+    // optimizes as if fault injection didn't exist.
+    if ph.faults.is_some() {
+        run_send_phase_body::<P, J, _, true>(graph, ctx, ph, jobs, stage);
     } else {
-        run_send_phase_body::<P, false>(graph, ctx, b);
+        run_send_phase_body::<P, J, _, false>(graph, ctx, ph, jobs, stage);
     }
 }
 
-fn run_send_phase_body<P: Program, const FAULTY: bool>(
+fn run_send_phase_body<P, J, S, const FAULTY: bool>(
     graph: &Graph,
     ctx: &RoundCtx,
-    b: &mut Batch<P>,
-) {
+    ph: &mut Phases<P>,
+    jobs: &mut J,
+    mut stage: S,
+) where
+    P: Program,
+    J: Jobs<P>,
+    S: FnMut(NodeId, Envelope<P::Msg>),
+{
     let n = graph.n();
-    let round = b.round;
-    let k = ctx.bounds.len() - 1;
-    let Batch {
-        jobs,
+    let round = ph.round;
+    let Phases {
         out_items,
         res,
-        shards,
         faults,
         crashes,
         trace_on,
         ..
-    } = b;
+    } = ph;
     let SendResults {
-        node_spans,
-        sent,
-        delivered,
-        lost,
-        fdropped,
-        fduplicated,
-        fdelayed,
+        spans,
         delayed_out,
         trace,
         error,
+        ..
     } = res;
-    if shards.len() < k {
-        shards.resize_with(k, Vec::new);
-    }
-    node_spans.clear();
+    spans.clear();
     trace.clear();
     let trace_on = *trace_on;
-    (*sent, *delivered, *lost) = (0, 0, 0);
-    (*fdropped, *fduplicated, *fdelayed) = (0, 0, 0);
+    // Tallies live in registers for the loop, not behind `res`.
+    let (mut sent, mut delivered, mut lost) = (0u64, 0u64, 0u64);
+    let (mut fdropped, mut fduplicated, mut fdelayed) = (0u64, 0u64, 0u64);
     delayed_out.clear();
     crashes.clear();
     *error = None;
     let hooks = *faults;
     let mut outbox = Outbox::from_vec(std::mem::take(out_items));
-    for (v, p) in jobs.iter_mut() {
-        let vid = NodeId(*v);
+    for i in 0..jobs.len() {
+        let (v, p) = jobs.job(i);
+        let vid = NodeId(v);
         let view = View {
             round,
             me: vid,
@@ -808,133 +937,164 @@ fn run_send_phase_body<P: Program, const FAULTY: bool>(
             n,
             neighbors: graph.neighbors(vid),
         };
-        node_spans.push((*v, p.span()));
+        let span = p.span();
+        match spans.last_mut() {
+            Some((s, len)) if std::ptr::eq(*s, span) => *len += 1,
+            _ => spans.push((span, 1)),
+        }
         if trace_on {
             trace.push(TraceEvent::Awake { round, node: vid });
         }
         if FAULTY {
             if let Some(fh) = hooks {
-                if fh.plan.crashes(round, *v) {
+                if fh.plan.crashes(round, v) {
                     // Save the start-of-round state *before* the node
                     // acts: a crashed node loses this round's state
                     // changes but its sends still go out (they left
                     // before the crash).
                     let mut w = Writer::new();
                     (fh.crash_io.save)(p, &mut w);
-                    crashes.push((*v, w.into_bytes()));
+                    crashes.push((v, w.into_bytes()));
                 }
             }
         }
         outbox.clear();
         p.send(&view, &mut outbox);
         let res = if !FAULTY {
-            // A recipient is listening iff awake exactly now; if so, its
-            // awake position stamp is valid and names its owner chunk.
-            route_entries(graph, outbox.items.drain(..), vid, sent, |to, msg| {
+            route_entries(graph, outbox.items.drain(..), vid, &mut sent, |to, msg| {
                 stage_delivery(
-                    ctx, round, vid, to, msg, shards, delivered, lost, trace_on, trace,
+                    ctx,
+                    round,
+                    vid,
+                    to,
+                    msg,
+                    &mut stage,
+                    &mut delivered,
+                    &mut lost,
+                    trace_on,
+                    trace,
                 );
             })
         } else {
-            {
-                let fh = hooks.expect("FAULTY send phase implies hooks");
-                // One fate roll per transmission, counted per sender per
-                // round — the same sequence the serial engine rolls.
-                let mut k = 0u32;
-                route_entries(graph, outbox.items.drain(..), vid, sent, |to, msg| {
-                    let fate = fh.plan.message_fate(round, vid.0, to.0, k);
-                    k += 1;
-                    match fate {
-                        FaultKind::Deliver => stage_delivery(
-                            ctx, round, vid, to, msg, shards, delivered, lost, trace_on, trace,
-                        ),
-                        FaultKind::Duplicate => {
-                            *fduplicated += 1;
-                            stage_delivery(
-                                ctx,
+            let fh = hooks.expect("FAULTY send phase implies hooks");
+            // One fate roll per transmission, keyed by the sender's
+            // per-round transmission index `k`, so the fates are the same
+            // whatever chunk the sender lands in. Dropped messages vanish
+            // (counted as `faults_dropped`, not `messages_lost`),
+            // duplicates deliver two copies (each then subject to the
+            // awake-recipient rule), delayed ones enter the buffer.
+            let mut k = 0u32;
+            route_entries(graph, outbox.items.drain(..), vid, &mut sent, |to, msg| {
+                let fate = fh.plan.message_fate(round, vid.0, to.0, k);
+                k += 1;
+                match fate {
+                    FaultKind::Deliver => stage_delivery(
+                        ctx,
+                        round,
+                        vid,
+                        to,
+                        msg,
+                        &mut stage,
+                        &mut delivered,
+                        &mut lost,
+                        trace_on,
+                        trace,
+                    ),
+                    FaultKind::Duplicate => {
+                        fduplicated += 1;
+                        stage_delivery(
+                            ctx,
+                            round,
+                            vid,
+                            to,
+                            msg.clone(),
+                            &mut stage,
+                            &mut delivered,
+                            &mut lost,
+                            trace_on,
+                            trace,
+                        );
+                        stage_delivery(
+                            ctx,
+                            round,
+                            vid,
+                            to,
+                            msg,
+                            &mut stage,
+                            &mut delivered,
+                            &mut lost,
+                            trace_on,
+                            trace,
+                        );
+                    }
+                    FaultKind::Drop => {
+                        fdropped += 1;
+                        if trace_on {
+                            trace.push(TraceEvent::FaultDrop {
                                 round,
-                                vid,
-                                to,
-                                msg.clone(),
-                                shards,
-                                delivered,
-                                lost,
-                                trace_on,
-                                trace,
-                            );
-                            stage_delivery(
-                                ctx, round, vid, to, msg, shards, delivered, lost, trace_on, trace,
-                            );
-                        }
-                        FaultKind::Drop => {
-                            *fdropped += 1;
-                            if trace_on {
-                                trace.push(TraceEvent::FaultDrop {
-                                    round,
-                                    from: vid,
-                                    to,
-                                });
-                            }
-                        }
-                        FaultKind::Delay => {
-                            *fdelayed += 1;
-                            let until = round + fh.plan.delay_rounds;
-                            if trace_on {
-                                trace.push(TraceEvent::FaultDelay {
-                                    round,
-                                    from: vid,
-                                    to,
-                                    until,
-                                });
-                            }
-                            delayed_out.push(DelayedMsg {
-                                due: until,
                                 from: vid,
                                 to,
-                                msg,
                             });
                         }
                     }
-                })
-            }
+                    FaultKind::Delay => {
+                        fdelayed += 1;
+                        let until = round + fh.plan.delay_rounds;
+                        if trace_on {
+                            trace.push(TraceEvent::FaultDelay {
+                                round,
+                                from: vid,
+                                to,
+                                until,
+                            });
+                        }
+                        delayed_out.push(DelayedMsg {
+                            due: until,
+                            from: vid,
+                            to,
+                            msg,
+                        });
+                    }
+                }
+            })
         };
         if let Err(e) = res {
             *error = Some(e);
             break;
         }
     }
-    b.out_items = outbox.into_vec();
+    *out_items = outbox.into_vec();
+    (res.sent, res.delivered, res.lost) = (sent, delivered, lost);
+    (res.fdropped, res.fduplicated, res.fdelayed) = (fdropped, fduplicated, fdelayed);
 }
 
-/// The receive-phase body: run each job's `receive` over the segments the
-/// caller drained into `inboxes` (a receive descriptor drains its
-/// exchange cells in source-chunk order; the inline path drains the
-/// single batch's own shards) and collect each action into the
-/// stay/sleep/halt partials. Shared by the descriptor executors and the
-/// coordinator's inline path, like [`run_send_phase`].
-fn run_receive_phase<P: Program>(
+/// The receive phase of one chunk: run each job's `receive` over the
+/// segments the caller filled in `inboxes` (keyed by [`Jobs::seg`]) and
+/// collect each action into the stay/sleep/halt partials.
+fn run_receive_phase<P: Program, J: Jobs<P>>(
     graph: &Graph,
-    b: &mut Batch<P>,
+    ph: &mut Phases<P>,
+    jobs: &mut J,
     inboxes: &mut ChunkInboxes<P::Msg>,
 ) {
     // Same monomorphization as the send phase: fault-free runs never pay
     // for the crash-restart or late-delivery checks below.
-    if b.faults.is_some() {
-        run_receive_phase_body::<P, true>(graph, b, inboxes);
+    if ph.faults.is_some() {
+        run_receive_phase_body::<P, J, true>(graph, ph, jobs, inboxes);
     } else {
-        run_receive_phase_body::<P, false>(graph, b, inboxes);
+        run_receive_phase_body::<P, J, false>(graph, ph, jobs, inboxes);
     }
 }
 
-fn run_receive_phase_body<P: Program, const FAULTY: bool>(
+fn run_receive_phase_body<P: Program, J: Jobs<P>, const FAULTY: bool>(
     graph: &Graph,
-    b: &mut Batch<P>,
+    ph: &mut Phases<P>,
+    jobs: &mut J,
     inboxes: &mut ChunkInboxes<P::Msg>,
 ) {
     let n = graph.n();
-    let round = b.round;
-    let Batch {
-        jobs,
+    let round = ph.round;
+    let Phases {
         faults,
         fcrashed,
         crashes,
@@ -948,22 +1108,19 @@ fn run_receive_phase_body<P: Program, const FAULTY: bool>(
         trace_on,
         trace,
         ..
-    } = b;
+    } = ph;
     let trace_on = *trace_on;
     trace.clear();
     *fcrashed = 0;
     crashed_nodes.clear();
-    // The caller has already drained this chunk's deliveries into
-    // `inboxes` in source-chunk order (senders ascend within a chunk and
-    // chunks are contiguous in node order, so each segment is a
-    // concatenation of sorted runs — born sorted, same invariant as the
-    // serial arena). `ensure` here is an idempotent backstop for chunks
-    // that received nothing but still have late deliveries or jobs.
-    inboxes.ensure(jobs.len());
+    // The caller has already sized `inboxes` for the chunk's keys and
+    // filled it in ascending sender order (senders ascend within a chunk
+    // and chunks are contiguous in node order, so each segment is a
+    // concatenation of sorted runs — born sorted).
     // Fault-delayed messages coming due land after the ascending-sender
     // pass; deliver them, then restore each touched segment's
     // sorted-by-sender invariant (stable, so same-sender envelopes keep
-    // their staging order — identical to the serial arena's resort).
+    // their staging order, whatever the chunking).
     if FAULTY && !late.is_empty() {
         late_locals.clear();
         for e in late.drain(..) {
@@ -982,14 +1139,16 @@ fn run_receive_phase_body<P: Program, const FAULTY: bool>(
     halts.clear();
     *error = None;
     let mut crash_i = 0usize;
-    for (i, (v, p)) in jobs.iter_mut().enumerate() {
-        let vid = NodeId(*v);
+    for i in 0..jobs.len() {
+        let (v, p) = jobs.job(i);
+        let seg = J::seg(i, v);
+        let vid = NodeId(v);
         // A crashed node loses the round — inbox discarded, state rolled
         // back to start-of-round — and restarts awake next round.
-        if FAULTY && crashes.get(crash_i).is_some_and(|c| c.0 == *v) {
+        if FAULTY && crashes.get(crash_i).is_some_and(|c| c.0 == v) {
             let blob = &crashes[crash_i].1;
             crash_i += 1;
-            inboxes.clear(i);
+            inboxes.clear(seg);
             let mut r = Reader::new(blob);
             let io = faults.as_ref().expect("crash blobs imply fault hooks");
             (io.crash_io.restore)(p, &mut r)
@@ -998,8 +1157,8 @@ fn run_receive_phase_body<P: Program, const FAULTY: bool>(
                 trace.push(TraceEvent::Crash { round, node: vid });
             }
             *fcrashed += 1;
-            crashed_nodes.push(*v);
-            stays.push(*v);
+            crashed_nodes.push(v);
+            stays.push(v);
             continue;
         }
         let view = View {
@@ -1009,11 +1168,11 @@ fn run_receive_phase_body<P: Program, const FAULTY: bool>(
             n,
             neighbors: graph.neighbors(vid),
         };
-        let action = p.receive(&view, inboxes.inbox(i));
+        let action = p.receive(&view, inboxes.inbox(seg));
         // Clear while the segment header is hot (see `arena`).
-        inboxes.clear(i);
+        inboxes.clear(seg);
         match action {
-            Action::Stay => stays.push(*v),
+            Action::Stay => stays.push(v),
             Action::SleepUntil(until) => {
                 if until <= round {
                     *error = Some(SimError::InvalidSleep {
@@ -1030,14 +1189,14 @@ fn run_receive_phase_body<P: Program, const FAULTY: bool>(
                         until,
                     });
                 }
-                sleeps.push((until, *v));
+                sleeps.push((until, v));
             }
             Action::Halt => {
                 if trace_on {
                     trace.push(TraceEvent::Halt { round, node: vid });
                 }
                 match p.output() {
-                    Some(o) => halts.push((*v, o)),
+                    Some(o) => halts.push((v, o)),
                     None => {
                         *error = Some(SimError::MissingOutput(vid));
                         break;
@@ -1049,23 +1208,27 @@ fn run_receive_phase_body<P: Program, const FAULTY: bool>(
     crashes.clear();
 }
 
-/// Merge one chunk's published send results into the run metrics:
-/// awake/span attribution per node in chunk order (= node order,
-/// preserving the serial engine's span interning order), then the message
-/// tallies, then the staged trace events (absorbed through the shared
-/// capped tracer, so the global event sequence and drop count match the
-/// serial engine's). The coordinator calls this in chunk index order —
-/// descriptor *execution* order is irrelevant.
+/// Merge one chunk's send results into the run metrics: awake/span
+/// attribution over `chunk` (its awake nodes) in order (= node order,
+/// which fixes the span interning order), then the message tallies, then the staged trace
+/// events (absorbed through the shared capped tracer, so the global event
+/// sequence and drop count do not depend on the chunking). The
+/// coordinator calls this in chunk index order — descriptor *execution*
+/// order is irrelevant.
 fn merge_send_results<P: Program>(
     r: &mut SendResults<P>,
+    chunk: &[u32],
     metrics: &mut Metrics,
     tracer: &mut Tracer,
     faults: Option<&mut FaultCtx<P>>,
 ) {
-    for &(v, span) in r.node_spans.iter() {
-        metrics.note_awake(NodeId(v), span);
+    let mut rest = chunk;
+    for &(span, len) in r.spans.iter() {
+        let (run, tail) = rest.split_at(len as usize);
+        metrics.note_awake_all(run, span);
+        rest = tail;
     }
-    r.node_spans.clear();
+    r.spans.clear();
     metrics.messages_sent += r.sent;
     metrics.messages_delivered += r.delivered;
     metrics.messages_lost += r.lost;
@@ -1074,7 +1237,7 @@ fn merge_send_results<P: Program>(
     metrics.faults_delayed += r.fdelayed;
     if let Some(f) = faults {
         // Chunk order = node order, so the run-wide delayed buffer grows
-        // in the serial engine's transmission order.
+        // in transmission order whatever the chunking.
         f.state.delayed.append(&mut r.delayed_out);
     }
     tracer.absorb(&mut r.trace);
@@ -1084,18 +1247,17 @@ fn merge_send_results<P: Program>(
 /// A delayed message is delivered only if its recipient is awake at
 /// exactly its due round; a due round nobody executed (or an asleep
 /// recipient) loses it — the model's rule, applied late. Deliverable
-/// messages are handed to `stage` as `(owner chunk, entry)` in the
-/// run-wide buffer order the serial engine drains; the coordinator stages
-/// them into the recipient's parked batch (`late` buffer) — on faulty
-/// rounds every receive descriptor is still gated closed here, so the
-/// batches are parked by construction.
+/// messages are handed to `stage` as `(recipient, envelope)` in run-wide
+/// buffer order; the coordinator stages them into the owner
+/// chunk's `late` buffer (on faulty rounds every receive descriptor is
+/// still gated closed here, so the batches are parked by construction).
 fn resolve_due_delays<P: Program>(
     f: &mut FaultCtx<P>,
     round: Round,
     ctx: &RoundCtx,
     metrics: &mut Metrics,
     tracer: &mut Tracer,
-    stage: &mut dyn FnMut(usize, ShardEntry<P::Msg>),
+    mut stage: impl FnMut(NodeId, Envelope<P::Msg>),
 ) {
     if !f.state.delayed.iter().any(|d| d.due <= round) {
         return;
@@ -1110,15 +1272,7 @@ fn resolve_due_delays<P: Program>(
         if due == round && ctx.next_wake[to.index()] == round {
             metrics.messages_delivered += 1;
             tracer.push(|| TraceEvent::Delivered { round, from, to });
-            let pos = ctx.awake_pos[to.index()];
-            let c = ctx.chunk_of(pos);
-            stage(
-                c,
-                ShardEntry {
-                    to_local: pos - ctx.bounds[c],
-                    env: Envelope { from, msg: d.msg },
-                },
-            );
+            stage(to, Envelope { from, msg: d.msg });
         } else {
             metrics.messages_lost += 1;
             tracer.push(|| TraceEvent::Lost {
@@ -1131,42 +1285,41 @@ fn resolve_due_delays<P: Program>(
     f.state.delayed = kept;
 }
 
-/// Apply one chunk's receive partials in node order: stay lane extension
-/// (chunks ascend, so the lane stays globally sorted), batched wheel
-/// scheduling, halt outputs, wake stamps, staged trace events, and
-/// program restoration. Returns whether this chunk touched recovery
-/// accounting (a crashed or still-recovering node), so the coordinator can
-/// bump [`Metrics::recovery_rounds`] once per round like the serial
-/// engine.
+/// Apply one chunk's receive partials in node order: recovery accounting,
+/// stay lane extension (chunks ascend, so the lane stays globally
+/// sorted), batched wheel scheduling, halt outputs, wake stamps and
+/// staged trace events. `chunk` is the chunk's slice of the awake set.
+/// Returns whether this chunk touched recovery accounting (a crashed or
+/// still-recovering node), so the coordinator can bump
+/// [`Metrics::recovery_rounds`] once per round.
 #[allow(clippy::too_many_arguments)]
 fn apply_receive_partials<P: Program>(
-    b: &mut Batch<P>,
-    round: Round,
-    ctx: &mut RoundCtx,
+    ph: &mut Phases<P>,
+    chunk: &[u32],
+    next_wake: &mut [Round],
     wheel: &mut WakeWheel,
     stay: &mut Vec<u32>,
     outputs: &mut [Option<P::Output>],
-    slots: &mut [Option<P>],
     tracer: &mut Tracer,
     metrics: &mut Metrics,
     faults: Option<&mut FaultCtx<P>>,
 ) -> bool {
-    tracer.absorb(&mut b.trace);
-    metrics.faults_crashed += b.fcrashed;
-    b.fcrashed = 0;
-    // Recovery accounting, in the chunk's node order — the same merge the
-    // serial engine's phase B does inline. A node that crashed this round
-    // starts recovering (the crashed round itself is not recovery energy);
-    // an awake node still marked recovering pays one recovery_awake round,
-    // and its first non-`Stay` action (a sleep or halt partial) ends the
-    // recovery. Recovering nodes are always awake — a crash forces the
-    // node into the stay lane — so scanning the chunk's jobs sees them all.
+    tracer.absorb(&mut ph.trace);
+    metrics.faults_crashed += ph.fcrashed;
+    ph.fcrashed = 0;
+    // Recovery accounting, in the chunk's node order. A node that crashed
+    // this round starts recovering (the crashed round itself is not
+    // recovery energy); an awake node still marked recovering pays one
+    // recovery_awake round, and its first non-`Stay` action (a sleep or
+    // halt partial) ends the recovery. Recovering nodes are always awake
+    // — a crash forces the node into the stay lane — so scanning the
+    // chunk's awake nodes sees them all.
     let mut touched = false;
     if let Some(f) = faults {
         let rec = &mut f.state.recovering;
         let (mut ci, mut si, mut hi) = (0usize, 0usize, 0usize);
-        for &(v, _) in b.jobs.iter() {
-            if b.crashed_nodes.get(ci).is_some_and(|&c| c == v) {
+        for &v in chunk {
+            if ph.crashed_nodes.get(ci).is_some_and(|&c| c == v) {
                 ci += 1;
                 rec[v as usize] = true;
                 touched = true;
@@ -1177,35 +1330,39 @@ fn apply_receive_partials<P: Program>(
             }
             metrics.recovery_awake += 1;
             touched = true;
-            while b.sleeps.get(si).is_some_and(|&(_, s)| s < v) {
+            while ph.sleeps.get(si).is_some_and(|&(_, s)| s < v) {
                 si += 1;
             }
-            while b.halts.get(hi).is_some_and(|h| h.0 < v) {
+            while ph.halts.get(hi).is_some_and(|h| h.0 < v) {
                 hi += 1;
             }
-            let non_stay = b.sleeps.get(si).is_some_and(|&(_, s)| s == v)
-                || b.halts.get(hi).is_some_and(|h| h.0 == v);
+            let non_stay = ph.sleeps.get(si).is_some_and(|&(_, s)| s == v)
+                || ph.halts.get(hi).is_some_and(|h| h.0 == v);
             if non_stay {
                 rec[v as usize] = false;
             }
         }
-        b.crashed_nodes.clear();
+        ph.crashed_nodes.clear();
     }
-    for &v in &b.stays {
-        ctx.next_wake[v as usize] = round + 1;
+    let next = ph.round + 1;
+    for &v in &ph.stays {
+        next_wake[v as usize] = next;
     }
-    stay.extend_from_slice(&b.stays);
-    b.stays.clear();
-    for &(until, v) in &b.sleeps {
-        ctx.next_wake[v as usize] = until;
+    if stay.is_empty() {
+        // The first chunk of a round (the only one, inline): hand the
+        // buffer over instead of copying it.
+        std::mem::swap(stay, &mut ph.stays);
+    } else {
+        stay.extend_from_slice(&ph.stays);
+        ph.stays.clear();
     }
-    wheel.schedule_all(b.sleeps.drain(..));
-    for (v, o) in b.halts.drain(..) {
-        ctx.next_wake[v as usize] = NEVER;
+    for &(until, v) in &ph.sleeps {
+        next_wake[v as usize] = until;
+    }
+    wheel.schedule_all(ph.sleeps.drain(..));
+    for (v, o) in ph.halts.drain(..) {
+        next_wake[v as usize] = NEVER;
         outputs[v as usize] = Some(o);
-    }
-    for (v, p) in b.jobs.drain(..) {
-        slots[v as usize] = Some(p);
     }
     touched
 }
@@ -1216,6 +1373,7 @@ fn apply_receive_partials<P: Program>(
 /// in `unpark_all`, and registration happens before the first scan, so a
 /// wakeup can race at worst into a pending unpark token, never past one.
 fn worker_loop<P: Program>(pool: &StealPool<'_, P>, who: usize) {
+    let _exit = Shutdown(pool);
     pool.register();
     let mut ex: ExecCtx<P::Msg> = ExecCtx::new(who);
     loop {
@@ -1251,16 +1409,383 @@ fn lap(stamp: &mut Option<(&mut PhaseTimes, Instant)>, pick: fn(&mut PhaseTimes)
     }
 }
 
-/// The worker-pool executor behind
-/// [`Engine::with_workers`](crate::Engine::with_workers): a
-/// persistent executor pool (the coordinator plus `workers - 1` spawned
-/// threads) driven round by round from a fresh or restored boundary, with
-/// optional seeded fault injection, optional snapshotting at round
-/// boundaries, optional per-phase timing, and an optional (test-only)
-/// chaos plan perturbing the claim scheduling. A restored run keeps the
-/// snapshot's config, like the serial engine. All observable state lives
-/// coordinator-side between rounds, which is exactly what a [`Snapshot`]
-/// captures — byte-identical to the serial engine's at the same boundary.
+/// The coordinator's side of a run: the round-boundary state a
+/// [`Snapshot`] captures (all of it lives here between rounds), plus the
+/// round scratch and the inline path's phase state.
+struct Coordinator<P: Program> {
+    config: Config,
+    metrics: Metrics,
+    tracer: Tracer,
+    outputs: Vec<Option<P::Output>>,
+    wheel: WakeWheel,
+    /// Nodes that chose [`Action::Stay`] last round, ascending.
+    stay: Vec<u32>,
+    prev_round: Round,
+    /// Every node's program; all occupied between rounds. Dispatched
+    /// rounds move a chunk's programs into its batch and back.
+    slots: Vec<Option<P>>,
+    faults: Option<FaultCtx<P>>,
+    /// This round's awake set, ascending, and its scratch.
+    awake: Vec<u32>,
+    scratch: Vec<u32>,
+    /// Dispatched rounds: degree-mass prefix and chunk bounds.
+    prefix: Vec<u64>,
+    bounds: Vec<u32>,
+    /// The coordinator's executor context: claim-scan offset 0, plus the
+    /// segment pool its inline rounds and receive steals share.
+    ex: ExecCtx<P::Msg>,
+    /// The inline path's phase state.
+    inline: Phases<P>,
+}
+
+impl<P: Program> Coordinator<P> {
+    /// The round boundary as snapshot input.
+    fn state<'a>(&'a self, next_wake: &'a [Round]) -> EngineStateRef<'a, P> {
+        EngineStateRef {
+            prev_round: self.prev_round,
+            next_wake,
+            stay: &self.stay,
+            wheel_events: self.wheel.pending_events(),
+            outputs: &self.outputs,
+            programs: &self.slots,
+            metrics: &self.metrics,
+            tracer: &self.tracer,
+            faults: self.faults.as_ref().map(|f| &f.state),
+        }
+    }
+
+    /// Run one round inline: a single chunk, no descriptors, programs in
+    /// place, messages straight into their inbox segments. Kept out of
+    /// line, so the loop a one-executor engine spends its whole run in is
+    /// compiled on its own rather than inside the round loop next to the
+    /// dispatched path.
+    #[inline(never)]
+    fn inline_round(
+        &mut self,
+        graph: &Graph,
+        ctx: &mut RoundCtx,
+        round: Round,
+    ) -> Result<(), SimError> {
+        let Coordinator {
+            metrics,
+            tracer,
+            outputs,
+            wheel,
+            stay,
+            slots,
+            faults,
+            awake,
+            ex,
+            inline,
+            ..
+        } = self;
+        inline.round = round;
+        let mut jobs = InPlace { awake, slots };
+        let inboxes = &mut ex.inboxes;
+        inboxes.ensure(jobs.segs());
+        run_send_phase(graph, ctx, inline, &mut jobs, |to, env| {
+            inboxes.push(to.0, env)
+        });
+        if let Some(e) = inline.res.error.take() {
+            return Err(e);
+        }
+        merge_send_results(&mut inline.res, awake, metrics, tracer, faults.as_mut());
+        if let Some(f) = faults.as_mut() {
+            let late = &mut inline.late;
+            resolve_due_delays(f, round, ctx, metrics, tracer, |to, env| {
+                late.push(ShardEntry {
+                    to_local: to.0,
+                    env,
+                })
+            });
+        }
+        run_receive_phase(graph, inline, &mut jobs, inboxes);
+        if let Some(e) = inline.error.take() {
+            return Err(e);
+        }
+        if apply_receive_partials(
+            inline,
+            awake,
+            &mut ctx.next_wake,
+            wheel,
+            stay,
+            outputs,
+            tracer,
+            metrics,
+            faults.as_mut(),
+        ) {
+            metrics.recovery_rounds += 1;
+        }
+        Ok(())
+    }
+
+    /// Run one round on the pool as `k` chunks.
+    fn dispatch_round(
+        &mut self,
+        pool: &StealPool<'_, P>,
+        round: Round,
+        k: usize,
+        stamp: &mut Option<(&mut PhaseTimes, Instant)>,
+    ) -> Result<(), SimError> {
+        // ---- publish: stamp the chunk map, fill every chunk descriptor
+        // first, then open them all at once. Two loops on purpose — an
+        // executor may claim a send the instant its slot turns READY, and
+        // its k publish decrements must land on fully reset `pending`
+        // counters and VACANT receive gates.
+        let awake = &self.awake;
+        let bounds = &mut self.bounds;
+        partition_by_mass(&self.prefix, k, bounds);
+        {
+            let mut ctx = pool.ctx.write().expect("round context lock");
+            ctx.bounds.clone_from(bounds);
+            ctx.chunk.clear();
+            ctx.chunk.reserve(awake.len());
+            let mut c = 0usize;
+            for (i, &v) in awake.iter().enumerate() {
+                ctx.awake_pos[v as usize] = i as u32;
+                while bounds[c + 1] as usize <= i {
+                    c += 1;
+                }
+                ctx.chunk.push(c as u32);
+            }
+        }
+        pool.abort.store(false, Ordering::SeqCst);
+        pool.k.store(k, Ordering::SeqCst);
+        for c in 0..k {
+            let slot = &pool.slots[c];
+            let mut parked = slot.batch.lock().expect("batch slot lock");
+            let b = parked.as_mut().expect("batch parked between rounds");
+            b.ph.round = round;
+            b.jobs.clear();
+            for &v in &awake[bounds[c] as usize..bounds[c + 1] as usize] {
+                let p = self.slots[v as usize].take().expect("program present");
+                b.jobs.push((v, p));
+            }
+            slot.pending.store(k, Ordering::SeqCst);
+            slot.recv_state.store(VACANT, Ordering::SeqCst);
+        }
+        for c in 0..k {
+            pool.slots[c].send_state.store(READY, Ordering::SeqCst);
+        }
+        pool.unpark_all();
+        lap(stamp, |t| &mut t.partition_ns);
+
+        // ---- send results, in chunk index order. The coordinator steals
+        // work itself while waiting (`wait_done`), so the merge order —
+        // which fixes metrics, trace, and error precedence — is untouched
+        // by who executed what.
+        for c in 0..k {
+            wait_done(pool, &mut self.ex, c, false);
+            lap(stamp, |t| &mut t.route_ns);
+            let mut r = pool.slots[c].results.lock().expect("results slot lock");
+            // Error precedence: chunks ascend in node order and a send
+            // stops at its chunk's first routing error, so the first error
+            // of the lowest-indexed chunk is the run's error.
+            if let Some(e) = r.error.take() {
+                return Err(e);
+            }
+            merge_send_results(
+                &mut r,
+                &self.awake[self.bounds[c] as usize..self.bounds[c + 1] as usize],
+                &mut self.metrics,
+                &mut self.tracer,
+                self.faults.as_mut(),
+            );
+            lap(stamp, |t| &mut t.merge_ns);
+        }
+        // Between the phases: route fault-delayed messages coming due into
+        // their recipients' owner batches. Only on faulty runs — fault-free
+        // rounds auto-open their receives instead (`auto_receive`), so
+        // this coordinator turn is skipped.
+        if let Some(f) = self.faults.as_mut() {
+            {
+                let ctx = pool.ctx.read().expect("round context lock");
+                resolve_due_delays(
+                    f,
+                    round,
+                    &ctx,
+                    &mut self.metrics,
+                    &mut self.tracer,
+                    |to, env| {
+                        let (owner, to_local) = ctx.owner(to);
+                        pool.slots[owner]
+                            .batch
+                            .lock()
+                            .expect("batch slot lock")
+                            .as_mut()
+                            .expect("batch parked for staging")
+                            .ph
+                            .late
+                            .push(ShardEntry { to_local, env });
+                    },
+                );
+            }
+            for c in 0..k {
+                pool.slots[c].recv_state.store(READY, Ordering::SeqCst);
+            }
+            pool.unpark_all();
+            lap(stamp, |t| &mut t.merge_ns);
+        }
+
+        // ---- receive partials, in chunk order (= node order): stay lane
+        // stays globally sorted, wake-ups enter the wheel in node order,
+        // halt outputs land in place, programs return to their slots.
+        // Waiting on every receive also quiesces the round: no executor
+        // holds work at a round boundary, so pause/periodic snapshots stay
+        // exact.
+        let mut rec_round = false;
+        for c in 0..k {
+            wait_done(pool, &mut self.ex, c, true);
+            lap(stamp, |t| &mut t.deliver_ns);
+            let mut parked = pool.slots[c].batch.lock().expect("batch slot lock");
+            let b = parked.as_mut().expect("batch parked after receive");
+            if let Some(e) = b.ph.error.take() {
+                return Err(e);
+            }
+            let mut ctx = pool.ctx.write().expect("round context lock");
+            rec_round |= apply_receive_partials(
+                &mut b.ph,
+                &self.awake[self.bounds[c] as usize..self.bounds[c + 1] as usize],
+                &mut ctx.next_wake,
+                &mut self.wheel,
+                &mut self.stay,
+                &mut self.outputs,
+                &mut self.tracer,
+                &mut self.metrics,
+                self.faults.as_mut(),
+            );
+            for (v, p) in b.jobs.drain(..) {
+                self.slots[v as usize] = Some(p);
+            }
+            lap(stamp, |t| &mut t.merge_ns);
+        }
+        if rec_round {
+            self.metrics.recovery_rounds += 1;
+        }
+        Ok(())
+    }
+
+    /// Drive rounds until nothing is pending, or until `ctl` pauses the
+    /// run into a snapshot.
+    fn drive(
+        &mut self,
+        pool: &StealPool<'_, P>,
+        workers: usize,
+        mut ctl: Option<CkptCtl<'_, P>>,
+        mut timing: Option<&mut PhaseTimes>,
+    ) -> Result<Option<Snapshot>, SimError> {
+        let graph = pool.graph;
+        let mut last_emit = self.prev_round;
+        loop {
+            // Peek the next pending round without committing anything, so
+            // a pause bound can snapshot this exact boundary (the stay
+            // lane, when occupied, always runs before any wheel wake-up).
+            let next = if !self.stay.is_empty() {
+                Some(self.prev_round + 1)
+            } else {
+                self.wheel.peek_min()
+            };
+            let Some(round) = next else {
+                return Ok(None);
+            };
+            // Snapshots happen here, at the boundary before `round`: the
+            // pause bound, or a periodic emission while work is pending
+            // (the final state is the returned run, never a snapshot).
+            if let Some(c) = ctl.as_mut() {
+                let pause = c.pause_after.is_some_and(|bound| round > bound);
+                let emit = c
+                    .every
+                    .is_some_and(|every| self.prev_round >= last_emit.saturating_add(every));
+                if pause || emit {
+                    let ctx = pool.ctx.read().expect("round context lock");
+                    let snap = (c.encode)(graph, self.config, self.state(&ctx.next_wake));
+                    if pause {
+                        return Ok(Some(snap));
+                    }
+                    last_emit = self.prev_round;
+                    (c.sink)(&snap);
+                }
+            }
+            // Per-round timing stamp; partition covers pop → publish.
+            let mut stamp = timing.as_deref_mut().map(|t| (t, Instant::now()));
+            let popped = next_awake_set(
+                &mut self.wheel,
+                &mut self.stay,
+                self.prev_round,
+                &mut self.awake,
+                &mut self.scratch,
+            );
+            debug_assert_eq!(popped, Some(round), "peek and pop must agree");
+            if round > self.config.max_rounds {
+                return Err(SimError::RoundBudgetExceeded {
+                    limit: self.config.max_rounds,
+                });
+            }
+            // Rounds between the previous executed round and this one had
+            // no awake node: the wheel jumped them in one batch-cascade,
+            // and they are accounted here so `rounds = executed + skipped`
+            // stays exact under compression.
+            self.metrics.rounds_skipped += round - self.prev_round - 1;
+            self.metrics.rounds = round;
+            self.prev_round = round;
+            let dispatch = workers > 1
+                && degree_mass_prefix(graph, &self.awake, &mut self.prefix) > INLINE_MASS;
+            if dispatch {
+                let k = workers.min(self.awake.len());
+                self.dispatch_round(pool, round, k, &mut stamp)?;
+                if let Some((t, _)) = stamp.as_mut() {
+                    t.dispatched_rounds += 1;
+                }
+            } else {
+                lap(&mut stamp, |t| &mut t.partition_ns);
+                let mut ctx = pool.ctx.write().expect("round context lock");
+                self.inline_round(graph, &mut ctx, round)?;
+                lap(&mut stamp, |t| &mut t.inline_ns);
+                if let Some((t, _)) = stamp.as_mut() {
+                    t.inline_rounds += 1;
+                }
+            }
+        }
+    }
+
+    /// Account still-buffered delayed messages as lost (they never found
+    /// an executed due round with an awake recipient) and unwrap the
+    /// outputs.
+    fn finish(mut self) -> Result<Run<P::Output>, SimError> {
+        if let Some(f) = self.faults.as_mut() {
+            for d in f.state.delayed.drain(..) {
+                self.metrics.messages_lost += 1;
+                self.tracer.push(|| TraceEvent::Lost {
+                    round: d.due,
+                    from: d.from,
+                    to: d.to,
+                });
+            }
+        }
+        let outputs = self
+            .outputs
+            .into_iter()
+            .enumerate()
+            .map(|(v, o)| o.ok_or(SimError::MissingOutput(NodeId(v as u32))))
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(Run {
+            outputs,
+            metrics: self.metrics,
+            trace: self.tracer.events,
+            trace_dropped: self.tracer.dropped,
+        })
+    }
+}
+
+/// The executor behind every [`Engine`](crate::Engine): a persistent
+/// executor pool (the coordinator plus `workers - 1` spawned threads)
+/// driven round by round from a fresh or restored boundary, with optional
+/// seeded fault injection, optional snapshotting at round boundaries,
+/// optional per-phase timing, and an optional (test-only) chaos plan
+/// perturbing the claim scheduling. A restored run keeps the snapshot's
+/// config. All observable state lives coordinator-side between rounds,
+/// which is exactly what a [`Snapshot`] captures — byte-identical at any
+/// worker count.
 // One argument per optional capability.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_threaded_core<P>(
@@ -1269,8 +1794,8 @@ pub(crate) fn run_threaded_core<P>(
     config: Config,
     workers: usize,
     mut faults: Option<FaultCtx<P>>,
-    mut ctl: Option<CkptCtl<'_, P>>,
-    mut timing: Option<&mut PhaseTimes>,
+    ctl: Option<CkptCtl<'_, P>>,
+    timing: Option<&mut PhaseTimes>,
     chaos: Option<ChaosPlan>,
 ) -> Result<Paused<P::Output>, SimError>
 where
@@ -1282,69 +1807,81 @@ where
         Init::Fresh(p) => (p, None),
         Init::Restored { programs, state } => (programs, Some(*state)),
     };
-    let config = restored.as_ref().map_or(config, |rs| rs.config);
     if programs.len() != n {
         return Err(SimError::ProgramCountMismatch {
             got: programs.len(),
             expected: n,
         });
     }
-    let mut metrics;
-    let mut tracer;
-    let mut outputs: Vec<Option<P::Output>>;
-    let next_wake: Vec<Round>;
-    let wheel_init: WakeWheel;
-    let stay_init: Vec<u32>;
-    let prev_round_init: Round;
-    match restored {
-        None => {
-            metrics = Metrics::new(n);
-            tracer = Tracer::new(config.trace);
-            outputs = (0..n).map(|_| None).collect();
-            let mut nw = Vec::with_capacity(n);
-            let mut wheel = WakeWheel::new();
-            seed_schedule(&programs, &mut wheel, &mut nw, &mut outputs)?;
-            next_wake = nw;
-            wheel_init = wheel;
-            stay_init = Vec::new();
-            prev_round_init = 0;
-        }
-        Some(rs) => {
-            metrics = rs.metrics;
-            tracer = rs.tracer;
-            outputs = rs.outputs;
-            next_wake = rs.next_wake;
-            wheel_init = rebuild_wheel(&rs.wheel_events);
-            stay_init = rs.stay;
-            prev_round_init = rs.prev_round;
-        }
-    }
-    let trace_on = tracer.enabled();
-    if n == 0 {
-        return Ok(Paused::Done(Run {
-            outputs: vec![],
-            metrics,
-            trace: tracer.events,
-            trace_dropped: tracer.dropped,
-        }));
-    }
-    let mut wheel = wheel_init;
-    let mut slots: Vec<Option<P>> = programs.into_iter().map(Some).collect();
-    // The immutable per-round fault hooks workers need; the mutable fault
-    // state (the delayed-message buffer) stays with the coordinator.
-    let hooks: Option<FaultHooks<P>> = faults.as_ref().map(|f| FaultHooks {
-        plan: f.state.plan,
-        crash_io: f.crash_io,
-    });
     if let Some(f) = faults.as_mut() {
         // Fresh runs start with an empty recovery bitset; restored runs
         // carry a validated length-n one (resize is then a no-op).
         f.state.recovering.resize(n, false);
     }
+    // The immutable per-round fault hooks the phases need; the mutable
+    // fault state (the delayed-message buffer) stays with the coordinator.
+    let hooks: Option<FaultHooks<P>> = faults.as_ref().map(|f| FaultHooks {
+        plan: f.state.plan,
+        crash_io: f.crash_io,
+    });
+    let auto_receive = faults.is_none();
+    let (mut coord, next_wake) = match restored {
+        None => {
+            let tracer = Tracer::new(config.trace);
+            let mut outputs = (0..n).map(|_| None).collect::<Vec<_>>();
+            let mut next_wake = Vec::with_capacity(n);
+            let mut wheel = WakeWheel::new();
+            seed_schedule(&programs, &mut wheel, &mut next_wake, &mut outputs)?;
+            let coord = Coordinator {
+                config,
+                metrics: Metrics::new(n),
+                inline: Phases::new(hooks, tracer.enabled()),
+                tracer,
+                outputs,
+                wheel,
+                stay: Vec::new(),
+                prev_round: 0,
+                slots: programs.into_iter().map(Some).collect(),
+                faults,
+                awake: Vec::new(),
+                scratch: Vec::new(),
+                prefix: Vec::new(),
+                bounds: Vec::new(),
+                ex: ExecCtx::new(0),
+            };
+            (coord, next_wake)
+        }
+        Some(rs) => {
+            let coord = Coordinator {
+                config: rs.config,
+                metrics: rs.metrics,
+                inline: Phases::new(hooks, rs.tracer.enabled()),
+                tracer: rs.tracer,
+                outputs: rs.outputs,
+                wheel: rebuild_wheel(&rs.wheel_events),
+                stay: rs.stay,
+                prev_round: rs.prev_round,
+                slots: programs.into_iter().map(Some).collect(),
+                faults,
+                awake: Vec::new(),
+                scratch: Vec::new(),
+                prefix: Vec::new(),
+                bounds: Vec::new(),
+                ex: ExecCtx::new(0),
+            };
+            (coord, rs.next_wake)
+        }
+    };
+    if n == 0 {
+        return coord.finish().map(Paused::Done);
+    }
 
     // The shared injector: slot arena (one descriptor slot per potential
     // chunk), k×k exchange cells, round context. Preallocated once; the
-    // steady state only swaps buffers through it.
+    // steady state only swaps buffers through it. A one-executor engine
+    // never dispatches, so it gets no slots at all.
+    let kmax = if workers == 1 { 0 } else { workers };
+    let trace_on = coord.tracer.enabled();
     let pool: StealPool<'_, P> = StealPool {
         graph,
         ctx: RwLock::new(RoundCtx {
@@ -1353,389 +1890,34 @@ where
             bounds: Vec::new(),
             chunk: Vec::new(),
         }),
-        slots: (0..workers).map(|_| ChunkSlot::new()).collect(),
-        cells: (0..workers * workers)
-            .map(|_| Mutex::new(Vec::new()))
-            .collect(),
-        kmax: workers,
+        slots: (0..kmax).map(|_| ChunkSlot::new(hooks, trace_on)).collect(),
+        cells: (0..kmax * kmax).map(|_| Mutex::new(Vec::new())).collect(),
+        kmax,
         k: AtomicUsize::new(0),
-        auto_receive: faults.is_none(),
+        auto_receive,
         abort: AtomicBool::new(false),
         shutdown: AtomicBool::new(false),
+        poisoned: AtomicBool::new(false),
         registry: Mutex::new(Vec::new()),
         chaos,
     };
     // The coordinator is an executor too (it steals while it waits):
     // register it for unpark storms before anything can publish.
     pool.register();
-
-    let result: Result<Option<Snapshot>, SimError> = std::thread::scope(|scope| {
+    let paused = std::thread::scope(|scope| {
         for who in 1..workers {
             let pool_ref = &pool;
             scope.spawn(move || worker_loop(pool_ref, who));
         }
-
-        let mut awake: Vec<u32> = Vec::new();
-        let mut scratch: Vec<u32> = Vec::new();
-        let mut stay: Vec<u32> = stay_init;
-        let mut prefix: Vec<u64> = Vec::new();
-        let mut bounds: Vec<u32> = Vec::new();
-        // The coordinator's executor context: claim-scan offset 0, plus
-        // the segment pool its inline path and receive steals share.
-        let mut coord: ExecCtx<P::Msg> = ExecCtx::new(0);
-        let mut prev_round: Round = prev_round_init;
-        let mut last_emit: Round = prev_round_init;
-
-        // Wrapped so every exit — completion, pause, error — funnels
-        // through the one place below that raises shutdown and unparks
-        // every executor before the scope joins the threads.
-        let out = (|| -> Result<Option<Snapshot>, SimError> {
-            loop {
-                // Peek the next pending round without committing anything, so
-                // a pause bound can snapshot this exact boundary (the stay
-                // lane, when occupied, always runs before any wheel wake-up).
-                let next = if !stay.is_empty() {
-                    Some(prev_round + 1)
-                } else {
-                    wheel.peek_min()
-                };
-                let Some(round) = next else { break };
-                // Snapshots happen here, at the boundary before `round`: the
-                // pause bound, or a periodic emission while work is pending
-                // (the final state is the returned run, never a snapshot).
-                if let Some(c) = ctl.as_mut() {
-                    let pause = c.pause_after.is_some_and(|bound| round > bound);
-                    let emit = c
-                        .every
-                        .is_some_and(|every| prev_round >= last_emit.saturating_add(every));
-                    if pause || emit {
-                        let ctx = pool.ctx.read().expect("round context lock");
-                        let st = EngineStateRef {
-                            prev_round,
-                            next_wake: &ctx.next_wake,
-                            stay: &stay,
-                            wheel_events: wheel.pending_events(),
-                            outputs: &outputs,
-                            programs: ProgramsRef::Slots(&slots),
-                            metrics: &metrics,
-                            tracer: &tracer,
-                            faults: faults.as_ref().map(|f| &f.state),
-                        };
-                        let snap = (c.encode)(graph, config, st);
-                        if pause {
-                            return Ok(Some(snap));
-                        }
-                        last_emit = prev_round;
-                        (c.sink)(&snap);
-                    }
-                }
-                // Per-round timing stamp; partition covers pop → publish.
-                let mut stamp = timing.as_deref_mut().map(|t| (t, Instant::now()));
-                let popped =
-                    next_awake_set(&mut wheel, &mut stay, prev_round, &mut awake, &mut scratch);
-                debug_assert_eq!(popped, Some(round), "peek and pop must agree");
-                if round > config.max_rounds {
-                    return Err(SimError::RoundBudgetExceeded {
-                        limit: config.max_rounds,
-                    });
-                }
-                // Same skipped-round accounting as the serial `step_body`:
-                // rounds the batch-cascade jumped over had no awake node.
-                metrics.rounds_skipped += round - prev_round - 1;
-                metrics.rounds = round;
-                prev_round = round;
-                let total_mass = degree_mass_prefix(graph, &awake, &mut prefix);
-                let inline = workers == 1 || total_mass <= INLINE_MASS;
-                let k = if inline { 1 } else { workers.min(awake.len()) };
-                partition_by_mass(&prefix, k, &mut bounds);
-                {
-                    let mut ctx = pool.ctx.write().expect("round context lock");
-                    ctx.bounds.clone_from(&bounds);
-                    ctx.chunk.clear();
-                    ctx.chunk.reserve(awake.len());
-                    let mut c = 0usize;
-                    for (i, &v) in awake.iter().enumerate() {
-                        ctx.awake_pos[v as usize] = i as u32;
-                        while bounds[c + 1] as usize <= i {
-                            c += 1;
-                        }
-                        ctx.chunk.push(c as u32);
-                    }
-                }
-
-                if inline {
-                    lap(&mut stamp, |t| &mut t.partition_ns);
-                    // ---- inline path: one chunk, no descriptors. The same
-                    // phase functions the stealing executors run, so results
-                    // are identical by construction; only the descriptor
-                    // traffic is skipped. Uses chunk 0's parked batch.
-                    let mut b = pool.slots[0]
-                        .batch
-                        .lock()
-                        .expect("batch slot lock")
-                        .take()
-                        .expect("batch parked between rounds");
-                    b.round = round;
-                    b.trace_on = trace_on;
-                    b.faults = hooks;
-                    b.jobs.clear();
-                    for &v in &awake {
-                        b.jobs
-                            .push((v, slots[v as usize].take().expect("program present")));
-                    }
-                    {
-                        let ctx = pool.ctx.read().expect("round context lock");
-                        run_send_phase(graph, &ctx, &mut b);
-                    }
-                    if let Some(e) = b.res.error.take() {
-                        return Err(e);
-                    }
-                    merge_send_results(&mut b.res, &mut metrics, &mut tracer, faults.as_mut());
-                    if let Some(f) = faults.as_mut() {
-                        let ctx = pool.ctx.read().expect("round context lock");
-                        let late = &mut b.late;
-                        resolve_due_delays(
-                            f,
-                            round,
-                            &ctx,
-                            &mut metrics,
-                            &mut tracer,
-                            &mut |_, e| late.push(e),
-                        );
-                    }
-                    // Drain the single chunk's own shards — the inline
-                    // counterpart of a receive descriptor draining its cells.
-                    coord.inboxes.ensure(b.jobs.len());
-                    for shard in b.shards.iter_mut() {
-                        coord
-                            .inboxes
-                            .extend_from(shard.drain(..).map(|e| (e.to_local, e.env)));
-                    }
-                    run_receive_phase(graph, &mut b, &mut coord.inboxes);
-                    if let Some(e) = b.error.take() {
-                        return Err(e);
-                    }
-                    {
-                        let mut ctx = pool.ctx.write().expect("round context lock");
-                        let rec_round = apply_receive_partials(
-                            &mut b,
-                            round,
-                            &mut ctx,
-                            &mut wheel,
-                            &mut stay,
-                            &mut outputs,
-                            &mut slots,
-                            &mut tracer,
-                            &mut metrics,
-                            faults.as_mut(),
-                        );
-                        if rec_round {
-                            metrics.recovery_rounds += 1;
-                        }
-                    }
-                    *pool.slots[0].batch.lock().expect("batch slot lock") = Some(b);
-                    lap(&mut stamp, |t| &mut t.inline_ns);
-                    if let Some((t, _)) = stamp.as_mut() {
-                        t.inline_rounds += 1;
-                    }
-                } else {
-                    // ---- publish: fill every chunk descriptor first, then
-                    // open them all at once. Two loops on purpose — an
-                    // executor may claim a send the instant its slot turns
-                    // READY, and its k publish decrements must land on fully
-                    // reset `pending` counters and VACANT receive gates.
-                    pool.abort.store(false, Ordering::SeqCst);
-                    pool.k.store(k, Ordering::SeqCst);
-                    for c in 0..k {
-                        let slot = &pool.slots[c];
-                        let mut parked = slot.batch.lock().expect("batch slot lock");
-                        let b = parked.as_mut().expect("batch parked between rounds");
-                        b.round = round;
-                        b.trace_on = trace_on;
-                        b.faults = hooks;
-                        b.jobs.clear();
-                        for &v in &awake[bounds[c] as usize..bounds[c + 1] as usize] {
-                            b.jobs
-                                .push((v, slots[v as usize].take().expect("program present")));
-                        }
-                        slot.pending.store(k, Ordering::SeqCst);
-                        slot.recv_state.store(VACANT, Ordering::SeqCst);
-                    }
-                    for c in 0..k {
-                        pool.slots[c].send_state.store(READY, Ordering::SeqCst);
-                    }
-                    pool.unpark_all();
-                    lap(&mut stamp, |t| &mut t.partition_ns);
-
-                    // ---- send results, in chunk index order. The coordinator
-                    // steals work itself while waiting (`wait_done`), so the
-                    // merge order — which fixes metrics, trace, and error
-                    // precedence — is untouched by who executed what.
-                    let mut round_err = None;
-                    for c in 0..k {
-                        wait_done(&pool, &mut coord, c, false);
-                        lap(&mut stamp, |t| &mut t.route_ns);
-                        let mut r = pool.slots[c].results.lock().expect("results slot lock");
-                        // Error precedence: chunks ascend in node order and a
-                        // send stops at its chunk's first routing error, so
-                        // the first error of the lowest-indexed chunk is the
-                        // serial engine's error.
-                        if let Some(e) = r.error.take() {
-                            round_err = Some(e);
-                            break;
-                        }
-                        merge_send_results(&mut r, &mut metrics, &mut tracer, faults.as_mut());
-                        lap(&mut stamp, |t| &mut t.merge_ns);
-                    }
-                    if let Some(e) = round_err {
-                        return Err(e);
-                    }
-                    // Between the phases: route fault-delayed messages coming
-                    // due into their recipients' owner batches, exactly where
-                    // the serial engine resolves them. Only on faulty runs —
-                    // fault-free rounds auto-open their receives instead
-                    // (`auto_receive`), so this coordinator turn is skipped.
-                    if let Some(f) = faults.as_mut() {
-                        {
-                            let ctx = pool.ctx.read().expect("round context lock");
-                            resolve_due_delays(
-                                f,
-                                round,
-                                &ctx,
-                                &mut metrics,
-                                &mut tracer,
-                                &mut |c, entry| {
-                                    pool.slots[c]
-                                        .batch
-                                        .lock()
-                                        .expect("batch slot lock")
-                                        .as_mut()
-                                        .expect("batch parked for staging")
-                                        .late
-                                        .push(entry);
-                                },
-                            );
-                        }
-                        for c in 0..k {
-                            pool.slots[c].recv_state.store(READY, Ordering::SeqCst);
-                        }
-                        pool.unpark_all();
-                        lap(&mut stamp, |t| &mut t.merge_ns);
-                    }
-
-                    // ---- receive partials, in chunk order (= node order):
-                    // stay lane stays globally sorted, wake-ups enter the
-                    // wheel in the serial engine's schedule order, halt
-                    // outputs land in place. Waiting on every receive also
-                    // quiesces the round: no executor holds work at a round
-                    // boundary, so pause/periodic snapshots stay exact.
-                    let mut rec_round = false;
-                    for c in 0..k {
-                        wait_done(&pool, &mut coord, c, true);
-                        lap(&mut stamp, |t| &mut t.deliver_ns);
-                        let mut b = pool.slots[c]
-                            .batch
-                            .lock()
-                            .expect("batch slot lock")
-                            .take()
-                            .expect("batch parked after receive");
-                        if let Some(e) = b.error.take() {
-                            return Err(e);
-                        }
-                        {
-                            let mut ctx = pool.ctx.write().expect("round context lock");
-                            rec_round |= apply_receive_partials(
-                                &mut b,
-                                round,
-                                &mut ctx,
-                                &mut wheel,
-                                &mut stay,
-                                &mut outputs,
-                                &mut slots,
-                                &mut tracer,
-                                &mut metrics,
-                                faults.as_mut(),
-                            );
-                        }
-                        *pool.slots[c].batch.lock().expect("batch slot lock") = Some(b);
-                        lap(&mut stamp, |t| &mut t.merge_ns);
-                    }
-                    if rec_round {
-                        metrics.recovery_rounds += 1;
-                    }
-                    if let Some((t, _)) = stamp.as_mut() {
-                        t.dispatched_rounds += 1;
-                    }
-                }
-            }
-            Ok(None)
-        })();
-        // One exit for every path: raise shutdown and wake every parked
-        // executor so the scope can join its threads.
-        pool.shutdown.store(true, Ordering::SeqCst);
-        pool.unpark_all();
-        out
-    });
-    if let Some(snapshot) = result? {
-        return Ok(Paused::Snapshot(snapshot));
+        // Every exit — completion, pause, error, panic — raises shutdown
+        // and wakes every parked executor, so the scope can join them.
+        let _exit = Shutdown(&pool);
+        coord.drive(&pool, workers, ctl, timing)
+    })?;
+    match paused {
+        Some(snapshot) => Ok(Paused::Snapshot(snapshot)),
+        None => coord.finish().map(Paused::Done),
     }
-
-    // Still-buffered delayed messages never found an executed due round
-    // with an awake recipient: account them lost, like the serial engine.
-    if let Some(f) = faults.as_mut() {
-        for d in f.state.delayed.drain(..) {
-            metrics.messages_lost += 1;
-            tracer.push(|| TraceEvent::Lost {
-                round: d.due,
-                from: d.from,
-                to: d.to,
-            });
-        }
-    }
-    let outputs = outputs
-        .into_iter()
-        .enumerate()
-        .map(|(v, o)| o.ok_or(SimError::MissingOutput(NodeId(v as u32))))
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(Paused::Done(Run {
-        outputs,
-        metrics,
-        trace: tracer.events,
-        trace_dropped: tracer.dropped,
-    }))
-}
-
-/// Run `programs` on a pool of `workers` executors, accumulating
-/// per-phase wall time into `timing` ([`PhaseTimes`]) — partition / route
-/// / deliver / merge for dispatched rounds, a single bucket for inline
-/// rounds. The timing probe reads the clock only between pipeline stages
-/// on the coordinator, so the run itself (outputs, [`Metrics`], trace) is
-/// bit-for-bit the same as [`Engine::run`](crate::Engine::run) on
-/// `Engine::with_workers(graph, config, Some(workers))`.
-///
-/// # Errors
-/// Same contract as [`Engine::run`](crate::Engine::run).
-pub fn run_threaded_timed<P>(
-    graph: &Graph,
-    programs: Vec<P>,
-    config: Config,
-    workers: usize,
-    timing: &mut PhaseTimes,
-) -> Result<Run<P::Output>, SimError>
-where
-    P: Program + Send,
-{
-    run_threaded_core(
-        graph,
-        Init::Fresh(programs),
-        config,
-        workers,
-        None,
-        None,
-        Some(timing),
-        None,
-    )
-    .map(completed)
 }
 
 #[cfg(test)]
@@ -2318,6 +2500,56 @@ mod tests {
         }
     }
 
+    /// Panics in `send` from round 2 on — only the highest node, so the
+    /// panic lands in the last chunk, which a spawned executor usually
+    /// claims first.
+    struct PanicsLate {
+        last: bool,
+    }
+
+    impl Program for PanicsLate {
+        type Msg = u64;
+        type Output = ();
+        fn send(&mut self, view: &View, out: &mut Outbox<u64>) {
+            assert!(!(self.last && view.round >= 2), "program panicked in send");
+            out.broadcast(view.ident);
+        }
+        fn receive(&mut self, view: &View, _: &[Envelope<u64>]) -> Action {
+            if view.round >= 5 {
+                Action::Halt
+            } else {
+                Action::Stay
+            }
+        }
+        fn output(&self) -> Option<()> {
+            Some(())
+        }
+    }
+
+    #[test]
+    fn executor_panic_reaches_the_caller() {
+        // P_200 has degree mass 598 > INLINE_MASS, so round 2 dispatches.
+        // Whichever executor runs the panicking chunk, the run must end in
+        // a panic on the calling thread, not wait forever on a descriptor
+        // the panicked executor held.
+        for workers in [2, 4] {
+            let (tx, rx) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                let g = generators::path(200);
+                let progs: Vec<PanicsLate> =
+                    (0..200).map(|v| PanicsLate { last: v == 199 }).collect();
+                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    Engine::with_workers(&g, Config::default(), Some(workers)).run(progs)
+                }));
+                let _ = tx.send(outcome.is_err());
+            });
+            let panicked = rx
+                .recv_timeout(Duration::from_secs(30))
+                .unwrap_or_else(|_| panic!("workers = {workers}: the pool hung on a panic"));
+            assert!(panicked, "workers = {workers}: the panic must propagate");
+        }
+    }
+
     #[test]
     fn timed_run_attributes_rounds() {
         // The timing probe must account every executed round exactly once
@@ -2333,7 +2565,9 @@ mod tests {
         };
         let serial = Engine::new(&g, Config::default()).run(mk()).unwrap();
         let mut t = PhaseTimes::default();
-        let run = run_threaded_timed(&g, mk(), Config::default(), 4, &mut t).unwrap();
+        let run = Engine::with_workers(&g, Config::default(), Some(4))
+            .run_timed(mk(), &mut t)
+            .unwrap();
         assert_eq!(serial.metrics, run.metrics);
         assert!(serial.outputs == run.outputs);
         assert_eq!(
@@ -2342,5 +2576,17 @@ mod tests {
             "every executed round lands in exactly one bucket"
         );
         assert!(t.dispatched_rounds > 0, "dense rounds must dispatch");
+        // The serial engine runs every round inline, and gets a breakdown
+        // too.
+        let mut t = PhaseTimes::default();
+        let run = Engine::new(&g, Config::default())
+            .run_timed(mk(), &mut t)
+            .unwrap();
+        assert_eq!(serial.metrics, run.metrics);
+        assert_eq!(
+            t.inline_rounds,
+            run.metrics.rounds - run.metrics.rounds_skipped
+        );
+        assert_eq!(t.dispatched_rounds, 0);
     }
 }

@@ -122,11 +122,11 @@ impl WakeWheel {
 
     /// Queue a batch of `(wake round, node)` events.
     ///
-    /// The batched form of [`schedule`](Self::schedule): the threaded
-    /// executor applies each worker's sleep partial in one call, chunk by
-    /// chunk in node order, so merged wake-ups enter the wheel in exactly
-    /// the order the serial engine schedules them. Every event must be
-    /// strictly in the future, like `schedule`.
+    /// The batched form of [`schedule`](Self::schedule): the executor
+    /// applies each chunk's sleep partial in one call, chunk by chunk in
+    /// node order, so wake-ups enter the wheel in node order whatever the
+    /// chunking. Every event must be strictly in the future, like
+    /// `schedule`.
     #[inline]
     pub(crate) fn schedule_all(&mut self, events: impl IntoIterator<Item = (Round, u32)>) {
         for (round, node) in events {
